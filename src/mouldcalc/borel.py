@@ -9,7 +9,6 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ConstantTermError
-from .moulds import Mould
 from .saddlenode import SaddleNodeField
 from .scalars import CQ, ONE, ZERO
 from .series import ZSeries, to_z_coeffs
@@ -191,8 +190,8 @@ def borel_V(field: SaddleNodeField, w, zeta_order: int) -> BorelPoly:
     return cur.truncate(zeta_order)
 
 
-def borel_phi_n(field: SaddleNodeField, n: int, zeta_order: int,
-                mould: Mould = None) -> BorelPoly:
+def borel_phi_n(field: SaddleNodeField, n: int,
+                zeta_order: int) -> BorelPoly:
     """phi^_n = sum beta(w) V^^w over words of weight n - 1.
 
     The contributing-word bound is taken at x-order zeta_order + 1 (the

@@ -1,10 +1,16 @@
-"""Versioned JSON cache for mould values, reloadable across runs."""
+"""Versioned cache of solver values, reloadable across runs.
+
+The file is JSON lines: a header {"version", "field_hash", "x_order"},
+then one {"word", "coeffs"} entry per memoised word (suffixes included),
+each coefficient as [re_num, re_den, im_num, im_den].
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import tempfile
 
 from .errors import CacheError
 from .moulds import Mould
@@ -13,7 +19,7 @@ from .scalars import CQ
 from .series import TruncatedSeries
 from .words import word_key
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_DIR_ENV = "MOULDCALC_CACHE_DIR"
 
 
@@ -35,42 +41,56 @@ def cache_path(A: BivariateSeries, x_order: int, directory=None) -> str:
 
 
 def save_mould_cache(path, mould: Mould, fhash: str) -> None:
-    entries = []
-    memo = {tuple(w): mould.value(w) for w in mould.known_words()}
-    for w in sorted(memo, key=word_key):
-        entries.append({"word": list(w),
-                        "coeffs": [c.to_quad() for c in memo[w].coeffs]})
-    doc = {"version": CACHE_VERSION, "field_hash": fhash,
-           "x_order": mould.x_order, "entries": entries}
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ": "))
-        fh.write("\n")
+    """Stream the mould's memo table, words in canonical order, to a
+    temporary file that then replaces `path`: a failed write leaves the
+    previous file as it was."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    header = {"version": CACHE_VERSION, "field_hash": fhash,
+              "x_order": mould.x_order}
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for w in sorted(mould.known_words(), key=word_key):
+                entry = {"word": list(w), "coeffs": [
+                    c.to_quad() for c in mould._memo[w].coeffs]}
+                fh.write(json.dumps(entry, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_mould_cache(path, fhash: str, x_order: int) -> dict:
-    """Entries for Mould.preload; raises CacheError on any mismatch or
-    malformation."""
+    """Entries for Mould.preload, read line by line; an entry's order is
+    its coefficient count minus 1.  Raises CacheError on any mismatch
+    or malformation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            header = json.loads(fh.readline())
+            if header["version"] != CACHE_VERSION:
+                raise CacheError(f"cache version {header['version']} != "
+                                 f"{CACHE_VERSION}")
+            if header["field_hash"] != fhash:
+                raise CacheError("cache belongs to a different field")
+            if header["x_order"] < x_order:
+                raise CacheError(
+                    f"cache x_order {header['x_order']} < {x_order}")
+            entries = {}
+            for line in fh:
+                e = json.loads(line)
+                word = tuple(int(n) for n in e["word"])
+                coeffs = [CQ.from_quad(q) for q in e["coeffs"]]
+                if len(coeffs) - 1 < x_order:
+                    raise CacheError(f"cache entry {list(word)} has order "
+                                     f"{len(coeffs) - 1} < {x_order}")
+                entries[word] = TruncatedSeries(coeffs)
+            return entries
+    except CacheError:
+        raise
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
-    try:
-        if doc["version"] != CACHE_VERSION:
-            raise CacheError(f"cache version {doc['version']} != "
-                             f"{CACHE_VERSION}")
-        if doc["field_hash"] != fhash:
-            raise CacheError("cache belongs to a different field")
-        if doc["x_order"] < x_order:
-            raise CacheError(f"cache x_order {doc['x_order']} < {x_order}")
-        entries = {}
-        for e in doc["entries"]:
-            word = tuple(int(n) for n in e["word"])
-            entries[word] = TruncatedSeries(
-                [CQ.from_quad(q) for q in e["coeffs"]], doc["x_order"])
-        return entries
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        if isinstance(exc, CacheError):
-            raise
         raise CacheError(f"malformed cache file {path}: {exc}") from exc

@@ -39,21 +39,17 @@ class RunConfig:
     x_order: int = 10
     n_max: int = 3
     zeta_order: int = 9
-    support_override: tuple = ()
     cache_path: str = ""
     rebuild_cache: bool = False
     output_dir: str = "."
     output_format: str = "json"
     suites: tuple = SUITES
     eval_points: tuple = ()
-    threads: int = 1
     word_warn: int = 200000
 
     def __post_init__(self):
         if self.x_order < 0 or self.zeta_order < 0 or self.n_max < 0:
             raise ValueError("orders and n_max must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def _coeff_str(c) -> dict:
@@ -89,29 +85,40 @@ def _load_validated(config):
 
 
 def _solver_with_cache(config, A, f):
+    """(mould, fhash, save): the solver preloaded from the cache file,
+    and a function that rewrites the file if the run added words."""
     mould = solve_V(f, config.x_order)
     fhash = cachemod.field_hash(A)
     path = config.cache_path or cachemod.cache_path(A, config.x_order)
+    known = 0
     if os.path.exists(path):
         try:
             mould.preload(cachemod.load_mould_cache(path, fhash,
                                                     config.x_order))
+            known = len(mould.known_words())
         except CacheError as exc:
             if not config.rebuild_cache:
                 print(f"error: {exc} (use --rebuild-cache)",
                       file=sys.stderr)
                 raise SystemExit(EXIT_IO)
-    return mould, fhash, path
+            known = -1  # replace the rejected file even if nothing is new
+
+    def save():
+        # a word is only ever re-solved on behalf of a new word, so an
+        # unchanged count means an unchanged memo
+        if len(mould.known_words()) > known:
+            cachemod.save_mould_cache(path, mould, fhash)
+
+    return mould, fhash, save
 
 
 def cmd_normalize(config: RunConfig) -> int:
     A, f = _load_validated(config)
-    mould, fhash, cpath = _solver_with_cache(config, A, f)
+    mould, _, save_cache = _solver_with_cache(config, A, f)
     os.makedirs(config.output_dir, exist_ok=True)
     for kind, component in (("phi", phi_component), ("psi", psi_component)):
         for n in range(config.n_max + 1):
-            series, count = component(f, n, config.x_order, mould,
-                                      threads=config.threads)
+            series, count = component(f, n, config.x_order, mould)
             if count > config.word_warn:
                 print(f"warning: {kind}_{n} summed over {count} words "
                       f"(threshold {config.word_warn})", file=sys.stderr)
@@ -124,7 +131,7 @@ def cmd_normalize(config: RunConfig) -> int:
                     "coeffs": [_coeff_str(c) for c in series.coeffs],
                     "word_count": count,
                 })
-    cachemod.save_mould_cache(cpath, mould, fhash)
+    save_cache()
     return EXIT_OK
 
 
@@ -140,8 +147,8 @@ def _iter_words(support, max_len):
 
 def cmd_check(config: RunConfig) -> int:
     A, f = _load_validated(config)
-    mould, fhash, cpath = _solver_with_cache(config, A, f)
-    support = config.support_override or f.support
+    mould, fhash, save_cache = _solver_with_cache(config, A, f)
+    support = f.support
     results = []
     failed = False
 
@@ -194,8 +201,7 @@ def cmd_check(config: RunConfig) -> int:
     if "oracle" in config.suites:
         oracle = oracle_phi(f, config.n_max, config.x_order)
         for n in range(config.n_max + 1):
-            series, _ = phi_component(f, n, config.x_order, mould,
-                                      threads=config.threads)
+            series, _ = phi_component(f, n, config.x_order, mould)
             ok = series == oracle.component(n)
             record("oracle", "mould expansion equals PDE solution",
                    [n], ok)
@@ -205,7 +211,7 @@ def cmd_check(config: RunConfig) -> int:
         "field_hash": fhash, "x_order": config.x_order,
         "results": results,
     })
-    cachemod.save_mould_cache(cpath, mould, fhash)
+    save_cache()
     if failed:
         for r in results:
             if r["status"] == "FAIL":
@@ -251,12 +257,13 @@ def cmd_cache(args) -> int:
     if args.action == "inspect":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                header = json.loads(fh.readline())
+                entries = sum(1 for _ in fh)
             print(json.dumps({
-                "version": doc.get("version"),
-                "field_hash": doc.get("field_hash"),
-                "x_order": doc.get("x_order"),
-                "entries": len(doc.get("entries", [])),
+                "version": header.get("version"),
+                "field_hash": header.get("field_hash"),
+                "x_order": header.get("x_order"),
+                "entries": entries,
             }, indent=1, sort_keys=True))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot inspect cache: {exc}", file=sys.stderr)
@@ -301,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                              f"under ${cachemod.CACHE_DIR_ENV} or "
                              "./.mouldcache)")
         sp.add_argument("--rebuild-cache", action="store_true")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="ignored; accepted for compatibility")
         sp.add_argument("--word-warn", type=int, default=200000)
 
     sp = sub.add_parser("normalize", help="write phi_n / psi_n tables")
@@ -332,8 +340,8 @@ def config_from_args(args) -> RunConfig:
         suites = tuple(s.strip() for s in args.suite.split(","))
         for s in suites:
             if s not in SUITES:
-                raise SystemExit(
-                    f"error: unknown suite {s!r}; choose from {SUITES}")
+                raise ValueError(
+                    f"unknown suite {s!r}; choose from {SUITES}")
     return RunConfig(
         field_path=args.field,
         x_order=args.x_order,
@@ -345,7 +353,6 @@ def config_from_args(args) -> RunConfig:
         output_format=args.format,
         suites=suites,
         eval_points=tuple(getattr(args, "eval", ())),
-        threads=args.threads,
         word_warn=args.word_warn,
     )
 

@@ -2,14 +2,12 @@
 the symmetry checkers.
 
 A Mould is a memoizing evaluator from words to TruncatedSeries at a
-fixed x-order.  Evaluation is deterministic and pure; the memo table
-is guarded by a lock so values may be computed from several threads
-with schedule-independent results.
+fixed x-order.  Evaluation is deterministic and pure: a word's value
+never depends on which words were evaluated before it.
 """
 
 from __future__ import annotations
 
-import threading
 from math import ceil
 
 from .errors import NonInvertibleMouldError
@@ -20,41 +18,39 @@ from .words import check_word, shuffles, weight
 
 
 class Mould:
-    """Map from words to TruncatedSeries at a fixed x-order."""
+    """Map from words to TruncatedSeries at a fixed x-order.  The memo
+    table may hold a word at a higher order (see solve_V); values are
+    truncated to x_order on return."""
 
-    __slots__ = ("x_order", "tag", "_fn", "_memo", "_lock")
+    __slots__ = ("x_order", "tag", "_fn", "_memo")
 
     def __init__(self, x_order: int, fn, tag: str = "constructed"):
         self.x_order = x_order
         self.tag = tag
         self._fn = fn
         self._memo = {}
-        self._lock = threading.Lock()
 
     def value(self, word) -> TruncatedSeries:
         word = tuple(word)
-        with self._lock:
-            cached = self._memo.get(word)
-        if cached is not None:
-            return cached
-        v = self._fn(word)
-        if v.order != self.x_order:
-            v = v.truncate(self.x_order)
-        with self._lock:
-            return self._memo.setdefault(word, v)
+        v = self._memo.get(word)
+        if v is None:
+            v = self._memo[word] = self._fn(word)
+        return v if v.order == self.x_order else v.truncate(self.x_order)
 
     __call__ = value
 
     def known_words(self):
         """Words evaluated so far (snapshot of the memo table)."""
-        with self._lock:
-            return list(self._memo)
+        return list(self._memo)
 
     def preload(self, entries: dict) -> None:
-        """Seed the memo table, e.g. from a cache file."""
-        with self._lock:
-            for w, s in entries.items():
-                self._memo.setdefault(tuple(w), s.truncate(self.x_order))
+        """Seed the memo table, e.g. from a cache file; a word already
+        known keeps the higher of the two orders."""
+        for w, s in entries.items():
+            w = tuple(w)
+            prev = self._memo.get(w)
+            if prev is None or prev.order < s.order:
+                self._memo[w] = s
 
     def __repr__(self):
         return f"<Mould tag={self.tag!r} x_order={self.x_order}>"
@@ -160,44 +156,36 @@ def solve_V(field: SaddleNodeField, x_order: int) -> Mould:
         x^2 d_x V + (weight) V = (J_a x V)   wordwise.
 
     Each value is obtained by inverting the shifted Euler derivation on
-    a_{n1} * V^{tail}; the memo table is keyed on words, so suffix
-    sharing across the word set is automatic.  Words are solved at
-    whatever internal order the zero-weight branch requires and
-    truncated on return.
+    a_{n1} * V^{tail}.  The returned mould's memo table is the only
+    store: it is keyed on words, so suffix sharing across the word set
+    is automatic, and it keeps each word at the highest order solved
+    (the zero-weight branch needs its tail one order higher).
     """
-    memo: dict[tuple, TruncatedSeries] = {}
-    lock = threading.Lock()
+    mould = Mould(x_order, None, tag="solver")
+    memo = mould._memo
 
     def compute(word, order):
         if not word:
             return TruncatedSeries.one(order)
-        with lock:
-            cached = memo.get(word)
+        cached = memo.get(word)
         if cached is not None and cached.order >= order:
             return cached.truncate(order)
         mu = weight(word)
-        if mu != 0:
-            tail = compute(word[1:], order)
-            b = ps_mul(field.letter_series(word[0], order), tail)
-            v = solve_euler_shifted(b, mu)
-        else:
-            tail = compute(word[1:], order + 1)
-            b = ps_mul(field.letter_series(word[0], order + 1), tail)
-            # invariant: for a valid field the right-hand
-            # side lies in x^2 C[[x]]; solve_euler_shifted asserts it.
-            v = solve_euler_shifted(b, 0)
+        # for mu = 0 the solve loses one order, and for a valid field the
+        # right-hand side lies in x^2 C[[x]]; solve_euler_shifted checks it
+        work = order if mu != 0 else order + 1
+        b = ps_mul(field.letter_series(word[0], work),
+                   compute(word[1:], work))
+        v = solve_euler_shifted(b, mu)
         val = v.valuation()
         bound = ceil(len(word) / 2)
-        assert val is None or val >= bound, \
-            f"valuation bound violated on {word}: {val} < {bound}"
-        with lock:
-            prev = memo.get(word)
-            if prev is None or prev.order < v.order:
-                memo[word] = v
+        if val is not None and val < bound:
+            raise AssertionError(
+                f"valuation bound violated on {word}: {val} < {bound}")
+        memo[word] = v
         return v
 
-    mould = Mould(x_order, lambda w: compute(check_word(w), x_order),
-                  tag="solver")
+    mould._fn = lambda w: compute(check_word(w), x_order)
     return mould
 
 

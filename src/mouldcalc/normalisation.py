@@ -5,7 +5,6 @@ routes: the PDE oracle and the formal-integral residual.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from math import ceil
 
 from .errors import ComouldDomainError
@@ -68,39 +67,33 @@ def mould_expansion_apply(M: Mould, words, f: YPolynomial) -> YPolynomial:
 
 
 def _component_sum(field: SaddleNodeField, n: int, x_order: int,
-                   mould: Mould, reverse: bool, threads: int = 1):
-    """sum of beta(w) * M^w over contributing words of weight n - 1.
+                   mould: Mould, reverse: bool):
+    """sum of beta(w) * M^w over contributing words of weight n - 1,
+    reduced in the canonical word order.
 
     Returns (series, word_count).  Words with beta = 0 are counted but
-    never evaluated.  With threads > 1 the terms are computed in a
-    thread pool; the reduction order is always the canonical word
-    order, so results are schedule-independent.
+    never evaluated.
     """
     words = sorted(
         contributing_words(n - 1, x_order, field.support, reverse=reverse),
         key=word_key)
-    active = [w for w in words if beta(w) != 0]
-    if threads > 1 and len(active) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(mould.value, active))
-    else:
-        values = [mould.value(w) for w in active]
     acc = TruncatedSeries.zero(x_order)
-    for w, v in zip(active, values):
-        acc = acc + v.scale(beta(w))
+    for w in words:
+        b = beta(w)
+        if b != 0:
+            acc = acc + mould.value(w).scale(b)
     return acc, len(words)
 
 
 def phi_component(field: SaddleNodeField, n: int, x_order: int,
-                  mould: Mould = None, threads: int = 1):
+                  mould: Mould = None):
     """phi_n = sum beta(w) V^w over words of weight n - 1; returns
     (series, word_count)."""
     if n < 0:
         raise ValueError("component index must be >= 0")
     if mould is None:
         mould = solve_V(field, x_order)
-    return _component_sum(field, n, x_order, mould, reverse=False,
-                          threads=threads)
+    return _component_sum(field, n, x_order, mould, reverse=False)
 
 
 def phi_n(field: SaddleNodeField, n: int, x_order: int,
@@ -109,7 +102,7 @@ def phi_n(field: SaddleNodeField, n: int, x_order: int,
 
 
 def psi_component(field: SaddleNodeField, n: int, x_order: int,
-                  mould: Mould = None, threads: int = 1):
+                  mould: Mould = None):
     """Same assembly as phi_component with the symmetral inverse of the
     solver mould; returns (series, word_count)."""
     if n < 0:
@@ -117,8 +110,7 @@ def psi_component(field: SaddleNodeField, n: int, x_order: int,
     if mould is None:
         mould = solve_V(field, x_order)
     inv = symmetral_inverse(mould)
-    return _component_sum(field, n, x_order, inv, reverse=True,
-                          threads=threads)
+    return _component_sum(field, n, x_order, inv, reverse=True)
 
 
 def psi_n(field: SaddleNodeField, n: int, x_order: int,

@@ -122,9 +122,9 @@ class SaddleNodeField:
             max_deg = max(max_deg, len(poly) - 1)
         object.__setattr__(self, "letters", clean)
         object.__setattr__(self, "x_order", max_deg)
+        # at least 1, so that to_bivariate keeps the linear term y
         object.__setattr__(
-            self, "y_order",
-            max((n + 1 for n in clean), default=0))
+            self, "y_order", max(1, max((n + 1 for n in clean), default=0)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SaddleNodeField is immutable")

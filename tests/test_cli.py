@@ -6,8 +6,10 @@ import pytest
 
 import mouldcalc as mc
 from mouldcalc import cache as cachemod
+from mouldcalc import moulds
 from mouldcalc.cli import main
 from mouldcalc.errors import CacheError
+from mouldcalc.scalars import CQ
 
 from conftest import bivariate
 
@@ -139,9 +141,9 @@ class TestCheck:
         assert suites == {"symmetral", "valuation"}
 
     def test_unknown_suite_rejected(self, euler_file, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["--field", euler_file], tmp_path, sub="check",
-                extra=["--suite", "bogus"])
+        code, _ = run(["--field", euler_file], tmp_path, sub="check",
+                      extra=["--suite", "bogus"])
+        assert code == 3
 
     def test_poisoned_cache_exit_1(self, euler_file, tmp_path, capsys):
         # first run populates the cache
@@ -150,10 +152,12 @@ class TestCheck:
         assert code == 0
         # corrupt one cached value, keeping hash/version intact
         cache = tmp_path / "cache.json"
-        doc = json.loads(cache.read_text())
-        entry = next(e for e in doc["entries"] if e["word"] == [-1])
+        header, *entries = [json.loads(line)
+                            for line in cache.read_text().splitlines()]
+        entry = next(e for e in entries if e["word"] == [-1])
         entry["coeffs"][2] = [7, 1, 0, 1]
-        cache.write_text(json.dumps(doc))
+        cache.write_text("".join(json.dumps(d) + "\n"
+                                 for d in [header, *entries]))
         code, _ = run(["--field", euler_file, "--x-order", "6"],
                       tmp_path, sub="check")
         assert code == 1
@@ -173,6 +177,21 @@ class TestCheck:
         code, _ = run(["--field", euler_file, "--x-order", "6"],
                       tmp_path, sub="check")
         assert code == 0
+
+    def test_version_1_cache_rejected_then_rebuilt(self, euler_file,
+                                                   tmp_path):
+        cache = tmp_path / "cache.json"
+        fhash = cachemod.field_hash(mc.load_field_file(euler_file))
+        cache.write_text(json.dumps({"version": 1, "field_hash": fhash,
+                                     "x_order": 6, "entries": []}) + "\n")
+        code, _ = run(["--field", euler_file, "--x-order", "6"],
+                      tmp_path, sub="check")
+        assert code == 3
+        code, _ = run(["--field", euler_file, "--x-order", "6"],
+                      tmp_path, sub="check", extra=["--rebuild-cache"])
+        assert code == 0
+        header = json.loads(cache.read_text().splitlines()[0])
+        assert header["version"] == cachemod.CACHE_VERSION == 2
 
     def test_warm_cache_identical_outputs(self, euler_file, tmp_path):
         def normalize(out):
@@ -270,11 +289,40 @@ class TestCacheModule:
             cachemod.load_mould_cache(path, "deadbeef", 4)
         with pytest.raises(CacheError):
             cachemod.load_mould_cache(path, fhash, 5)
-        doc = json.loads(path.read_text())
-        doc["version"] = 999
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CacheError):
-            cachemod.load_mould_cache(path, fhash, 4)
+        # a foreign version, and an entry one coefficient short of x_order
+        header, entry = [json.loads(line)
+                         for line in path.read_text().splitlines()]
+        short = dict(entry, coeffs=entry["coeffs"][:-1])
+        for lines in ([dict(header, version=999), entry], [header, short]):
+            path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+            with pytest.raises(CacheError):
+                cachemod.load_mould_cache(path, fhash, 4)
+
+    def test_failed_write_keeps_previous_cache(self, euler_field, tmp_path,
+                                               monkeypatch):
+        A = euler_field.to_bivariate(1, 1)
+        fhash = cachemod.field_hash(A)
+        mould = mc.solve_V(euler_field, 6)
+        mould.value((-1,))
+        path = tmp_path / "c.json"
+        cachemod.save_mould_cache(path, mould, fhash)
+        before = path.read_bytes()
+        mould.value((-1, -1))
+        real, calls = CQ.to_quad, []
+
+        def to_quad(c):
+            # the first entry converts, the second one cannot be written
+            calls.append(c)
+            return real(c) if len(calls) <= 7 else object()
+
+        monkeypatch.setattr(CQ, "to_quad", to_quad)
+        with pytest.raises(TypeError):
+            cachemod.save_mould_cache(path, mould, fhash)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+        assert cachemod.load_mould_cache(path, fhash, 6) == \
+            {(-1,): mould.value((-1,))}
 
     def test_env_var_controls_default_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(cachemod.CACHE_DIR_ENV, str(tmp_path / "cc"))
@@ -288,3 +336,52 @@ class TestCacheModule:
         C = bivariate({(0, 1): 1, (1, 2): 2}, x_order=1, y_order=2)
         assert cachemod.field_hash(A) == cachemod.field_hash(B)
         assert cachemod.field_hash(A) != cachemod.field_hash(C)
+
+
+class TestCacheReuse:
+    @pytest.fixture
+    def field_file(self, tmp_path):
+        # letters -1, 0 and 1
+        A = bivariate({(0, 1): 1, (1, 0): 1, (2, 1): 1, (1, 2): 1},
+                      x_order=2, y_order=2)
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(mc.field_to_json(A)))
+        return str(path)
+
+    def normalize(self, field_file, tmp_path, out="out"):
+        return main(["normalize", "--field", field_file, "--x-order", "6",
+                     "--n-max", "3", "--output-dir", str(tmp_path / out),
+                     "--cache", str(tmp_path / "cache.json")])
+
+    def test_cached_suffix_needs_one_solve(self, field_file, tmp_path,
+                                           monkeypatch):
+        assert self.normalize(field_file, tmp_path) == 0
+        A = mc.load_field_file(field_file)
+        field = mc.extract_letters(A)
+        entries = cachemod.load_mould_cache(
+            tmp_path / "cache.json", cachemod.field_hash(A), 6)
+        cached = max(entries, key=mc.word_key)
+        word = next((n,) + cached for n in field.support
+                    if n + sum(cached) != 0)
+        assert word not in entries
+        mould = mc.solve_V(field, 6)
+        mould.preload(entries)
+        real, calls = moulds.solve_euler_shifted, []
+
+        def counted(b, mu):
+            calls.append(mu)
+            return real(b, mu)
+
+        monkeypatch.setattr(moulds, "solve_euler_shifted", counted)
+        value = mould.value(word)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert value == mc.solve_V(field, 6).value(word)
+
+    def test_repeated_run_leaves_cache_untouched(self, field_file,
+                                                 tmp_path):
+        cache = tmp_path / "cache.json"
+        assert self.normalize(field_file, tmp_path, "cold") == 0
+        before = cache.read_bytes(), cache.stat().st_mtime_ns
+        assert self.normalize(field_file, tmp_path, "warm") == 0
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before

@@ -144,13 +144,6 @@ class TestPhiComponents:
             assert mc.phi_n(trivial_field, n, 6).is_zero()
             assert mc.psi_n(trivial_field, n, 6).is_zero()
 
-    def test_threaded_matches_serial(self, quadratic_field):
-        serial, count1 = mc.phi_component(quadratic_field, 2, 6)
-        threaded, count2 = mc.phi_component(quadratic_field, 2, 6,
-                                            threads=4)
-        assert serial == threaded
-        assert count1 == count2
-
     def test_rejects_negative_component(self, euler_field):
         with pytest.raises(ValueError):
             mc.phi_n(euler_field, -1, 4)

@@ -58,6 +58,11 @@ class TestExtractLetters:
                        (2, 3): 1}, x_order=2, y_order=3)
         assert quadratic_field.to_bivariate(2, 3) == A
 
+    def test_reassembly_roundtrip_single_letter(self):
+        # A = y + 2x: support (-1,), whose y_order must still keep y
+        A = bivariate({(0, 1): 1, (1, 0): 2}, x_order=1, y_order=1)
+        assert mc.extract_letters(A).to_bivariate() == A
+
     def test_reassembly_roundtrip_rational(self, cubic_field):
         A = bivariate({(0, 1): 1, (2, 0): Fraction(1, 2),
                        (1, 2): Fraction(-2, 3), (3, 3): Fraction(1, 5)},
