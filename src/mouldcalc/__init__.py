@@ -8,8 +8,8 @@ valuation bounds) and computes formal Borel transforms of the
 resulting divergent series.
 """
 
-from .borel import (BorelPoly, borel, borel_phi_n, borel_V, conv,
-                    divide_by_zeta_minus, eval_partial_sum)
+from .borel import (borel, borel_phi_n, borel_V, conv, divide_by_zeta_minus,
+                    eval_partial_sum)
 from .errors import (CacheError, ComouldDomainError, ConstantTermError,
                      FieldValidationError, IllPosedError, MouldCalcError,
                      NonInvertibleMouldError)
@@ -26,9 +26,8 @@ from .saddlenode import (BivariateSeries, PhiSeries, SaddleNodeField,
                          extract_letters, field_from_json, field_to_json,
                          load_field_file, pde_residual, substitute_phi)
 from .scalars import CQ, cq
-from .series import (TruncatedSeries, ZSeries, euler_derivation,
-                     from_z_coeffs, ps_mul, solve_euler_shifted,
-                     to_z_coeffs)
+from .series import (TruncatedSeries, euler_derivation, ps_mul,
+                     solve_euler_shifted, to_z_coeffs)
 from .words import (beta, contributing_words, enumerate_bounded_weight,
                     enumerate_words, shuffle_coeff, shuffles,
                     valuation_lower_bound, weight, word_key)

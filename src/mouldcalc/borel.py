@@ -1,6 +1,7 @@
-"""Formal Borel transform: z-series to polynomials in zeta, the
-convolution product, division by (zeta - m), and the recursive Borel
-transforms of the solver values and normalising components.
+"""Formal Borel transform: series in w = 1/z to truncated series in
+zeta, the convolution product, division by (zeta - m), and the
+recursive Borel transforms of the solver values and normalising
+components.  Both sides are TruncatedSeries, in the w and zeta charts.
 """
 
 from __future__ import annotations
@@ -10,99 +11,26 @@ from math import factorial
 
 from .errors import ConstantTermError
 from .saddlenode import SaddleNodeField
-from .scalars import CQ, ONE, ZERO
-from .series import ZSeries, to_z_coeffs
+from .scalars import ZERO
+from .series import TruncatedSeries, to_z_coeffs
 from .words import beta, check_word, contributing_words, word_key
 
 
-class BorelPoly:
-    """Truncated Taylor expansion at zeta = 0 of a formal Borel
-    transform: coefficients of zeta^0..zeta^order."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = [c if isinstance(c, CQ) else CQ(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [ZERO] * (order + 1 - len(coeffs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs[: order + 1]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BorelPoly is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "BorelPoly":
-        return cls([], order)
-
-    def coefficient(self, n: int) -> CQ:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient zeta^{n} beyond order {self.order}")
-        return self.coeffs[n]
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def truncate(self, order: int) -> "BorelPoly":
-        if order > self.order:
-            raise ValueError(
-                f"cannot extend from order {self.order} to {order}")
-        return BorelPoly(self.coeffs[: order + 1], order)
-
-    def __add__(self, other):
-        if not isinstance(other, BorelPoly):
-            return NotImplemented
-        k = min(self.order, other.order)
-        return BorelPoly([self.coeffs[i] + other.coeffs[i]
-                          for i in range(k + 1)], k)
-
-    def __sub__(self, other):
-        if not isinstance(other, BorelPoly):
-            return NotImplemented
-        k = min(self.order, other.order)
-        return BorelPoly([self.coeffs[i] - other.coeffs[i]
-                          for i in range(k + 1)], k)
-
-    def __neg__(self):
-        return BorelPoly([-c for c in self.coeffs], self.order)
-
-    def scale(self, scalar) -> "BorelPoly":
-        s = scalar if isinstance(scalar, CQ) else CQ(scalar)
-        return BorelPoly([c * s for c in self.coeffs], self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, BorelPoly):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        terms = [f"{c}*zeta^{k}" for k, c in enumerate(self.coeffs) if c]
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O(zeta^{self.order + 1})>"
-
-    def to_json(self) -> dict:
-        return {"order": self.order,
-                "coeffs": [c.to_quad() for c in self.coeffs]}
-
-
-def borel(f: ZSeries) -> BorelPoly:
-    """sum c_n z^{-n-1} maps to sum c_n zeta^n / n!."""
+def borel(f: TruncatedSeries) -> TruncatedSeries:
+    """sum c_{n+1} w^{n+1} (w = 1/z) maps to sum c_{n+1} zeta^n / n!.
+    The w-series must have zero constant term."""
+    if f.coeffs[0]:
+        raise ConstantTermError(
+            "w-series with nonzero constant term has no Borel transform")
     if f.order == 0:
-        raise ValueError("z-series of order 0 carries no coefficients")
+        raise ValueError("w-series of order 0 carries no coefficients")
     out = []
     for n in range(f.order):
-        out.append(f.coeffs[n] * Fraction(1, factorial(n)))
-    return BorelPoly(out, f.order - 1)
+        out.append(f.coeffs[n + 1] * Fraction(1, factorial(n)))
+    return TruncatedSeries(out, f.order - 1)
 
 
-def conv(f: BorelPoly, g: BorelPoly) -> BorelPoly:
+def conv(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Convolution int_0^zeta f(t) g(zeta - t) dt, truncated.
 
     On basis elements: conv(zeta^i/i!, zeta^j/j!) = zeta^{i+j+1}/(i+j+1)!.
@@ -122,10 +50,10 @@ def conv(f: BorelPoly, g: BorelPoly) -> BorelPoly:
             d = i + j + 1
             out[d] = out[d] + a * b * Fraction(fi * factorial(j),
                                                factorial(d))
-    return BorelPoly(out, k)
+    return TruncatedSeries(out, k)
 
 
-def divide_by_zeta_minus(m: int, f: BorelPoly) -> BorelPoly:
+def divide_by_zeta_minus(m: int, f: TruncatedSeries) -> TruncatedSeries:
     """Multiply f by 1/(zeta - m).
 
     For m != 0 this is the exact geometric expansion
@@ -139,7 +67,7 @@ def divide_by_zeta_minus(m: int, f: BorelPoly) -> BorelPoly:
                 "Taylor series at 0")
         if f.order == 0:
             raise ValueError("order 0 leaves nothing after the shift")
-        return BorelPoly(list(f.coeffs[1:]), f.order - 1)
+        return TruncatedSeries(f.coeffs[1:], f.order - 1)
     inv_m = Fraction(-1, m)
     out = [ZERO] * (f.order + 1)
     # out[d] = -(1/m) sum_{i <= d} f_i / m^{d-i}
@@ -151,17 +79,18 @@ def divide_by_zeta_minus(m: int, f: BorelPoly) -> BorelPoly:
                 acc = acc + f.coeffs[i] * p
             p = p / m
         out[d] = acc * inv_m
-    return BorelPoly(out, f.order)
+    return TruncatedSeries(out, f.order)
 
 
-def borel_letter(field: SaddleNodeField, n: int, order: int) -> BorelPoly:
+def borel_letter(field: SaddleNodeField, n: int,
+                 order: int) -> TruncatedSeries:
     """Borel transform of a~_n(z) = a_n(-1/z); entire (polynomial
     letters), so exact at any requested order."""
     a = field.letter_series(n, order + 2)
     return borel(to_z_coeffs(a)).truncate(order)
 
 
-def borel_V(field: SaddleNodeField, w, zeta_order: int) -> BorelPoly:
+def borel_V(field: SaddleNodeField, w, zeta_order: int) -> TruncatedSeries:
     """Borel transform of the solver value on w, via the nested
     recursion (-1)^r (1/(zeta - nhat_1)) (a^_{n_1} * (1/(zeta - nhat_2))
     (a^_{n_2} * ...)), with nhat_i = n_i + ... + n_r.
@@ -191,7 +120,7 @@ def borel_V(field: SaddleNodeField, w, zeta_order: int) -> BorelPoly:
 
 
 def borel_phi_n(field: SaddleNodeField, n: int,
-                zeta_order: int) -> BorelPoly:
+                zeta_order: int) -> TruncatedSeries:
     """phi^_n = sum beta(w) V^^w over words of weight n - 1.
 
     The contributing-word bound is taken at x-order zeta_order + 1 (the
@@ -200,7 +129,7 @@ def borel_phi_n(field: SaddleNodeField, n: int,
     if n < 0:
         raise ValueError("component index must be >= 0")
     x_order = zeta_order + 1
-    acc = BorelPoly.zero(zeta_order)
+    acc = TruncatedSeries.zero(zeta_order)
     for w in sorted(contributing_words(n - 1, x_order, field.support),
                     key=word_key):
         b = beta(w)
@@ -210,13 +139,14 @@ def borel_phi_n(field: SaddleNodeField, n: int,
     return acc
 
 
-def eval_partial_sum(f: BorelPoly, zeta: Fraction):
+def eval_partial_sum(f: TruncatedSeries, zeta: Fraction):
     """Evaluate the truncated polynomial at a rational point.
 
-    Returns (value, tail_bound): the partial sum and an exact rational
-    bound for the omitted tail, estimated geometrically from the
-    observed coefficient growth.  The bound is None when |zeta| >= 1 or
-    the observed ratio rules out geometric decay of the terms.
+    Returns (value, tail_bound): the partial sum and a rational
+    estimate of the omitted tail, geometric in the observed ratios of
+    the coefficients.  It is not a proven bound and reads 0 whenever the
+    top coefficient vanishes.  It is None when |zeta| >= 1 or the
+    observed ratio rules out geometric decay of the terms.
     """
     zeta = Fraction(zeta)
     value = ZERO

@@ -2,7 +2,10 @@
 
 The file is JSON lines: a header {"version", "field_hash", "x_order"},
 then one {"word", "coeffs"} entry per memoised word (suffixes included),
-each coefficient as [re_num, re_den, im_num, im_den].
+each coefficient as [re_num, re_den, im_num, im_den], then a trailer
+{"sha256"} holding the SHA-256 of every line before it.  The digest
+catches corruption and truncation; it is not a security boundary,
+since anyone who can edit the file can recompute it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .scalars import CQ
 from .series import TruncatedSeries
 from .words import word_key
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 CACHE_DIR_ENV = "MOULDCALC_CACHE_DIR"
 
 
@@ -48,15 +51,21 @@ def save_mould_cache(path, mould: Mould, fhash: str) -> None:
     os.makedirs(directory, exist_ok=True)
     header = {"version": CACHE_VERSION, "field_hash": fhash,
               "x_order": mould.x_order}
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            def write(line):
+                fh.write(line)
+                digest.update(line.encode("utf-8"))
+
+            write(json.dumps(header, sort_keys=True) + "\n")
             for w in sorted(mould.known_words(), key=word_key):
                 entry = {"word": list(w), "coeffs": [
                     c.to_quad() for c in mould._memo[w].coeffs]}
-                fh.write(json.dumps(entry, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+                write(json.dumps(entry, sort_keys=True,
+                                 separators=(",", ":")) + "\n")
+            fh.write(json.dumps({"sha256": digest.hexdigest()}) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -65,11 +74,15 @@ def save_mould_cache(path, mould: Mould, fhash: str) -> None:
 
 def load_mould_cache(path, fhash: str, x_order: int) -> dict:
     """Entries for Mould.preload, read line by line; an entry's order is
-    its coefficient count minus 1.  Raises CacheError on any mismatch
-    or malformation."""
+    its coefficient count minus 1.  Nothing is returned before the
+    trailer's digest matches.  Raises CacheError on any mismatch or
+    malformation."""
+    digest = hashlib.sha256()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
+            line = fh.readline()
+            digest.update(line.encode("utf-8"))
+            header = json.loads(line)
             if header["version"] != CACHE_VERSION:
                 raise CacheError(f"cache version {header['version']} != "
                                  f"{CACHE_VERSION}")
@@ -81,16 +94,37 @@ def load_mould_cache(path, fhash: str, x_order: int) -> dict:
             entries = {}
             for line in fh:
                 e = json.loads(line)
+                if "sha256" in e:
+                    if e["sha256"] != digest.hexdigest() or \
+                            next(fh, None) is not None:
+                        raise CacheError(f"cache file {path} fails its "
+                                         "digest check")
+                    return entries
+                digest.update(line.encode("utf-8"))
                 word = tuple(int(n) for n in e["word"])
                 coeffs = [CQ.from_quad(q) for q in e["coeffs"]]
                 if len(coeffs) - 1 < x_order:
                     raise CacheError(f"cache entry {list(word)} has order "
                                      f"{len(coeffs) - 1} < {x_order}")
                 entries[word] = TruncatedSeries(coeffs)
-            return entries
+            raise CacheError(f"cache file {path} has no digest trailer")
     except CacheError:
         raise
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CacheError(f"malformed cache file {path}: {exc}") from exc
+
+
+def describe_cache(path) -> dict:
+    """Header fields and entry count of a cache file, without checking
+    its digest.  Raises OSError, or ValueError on a malformed header."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+        if not isinstance(header, dict):
+            raise CacheError("cache header is not a JSON object")
+        entries = sum(1 for line in fh if not line.startswith('{"sha256"'))
+    return {"version": header.get("version"),
+            "field_hash": header.get("field_hash"),
+            "x_order": header.get("x_order"),
+            "entries": entries}

@@ -243,10 +243,7 @@ def cmd_borel(config: RunConfig) -> int:
             doc["evaluations"] = evaluations
         base = os.path.join(config.output_dir, f"phihat_{n}")
         if config.output_format == "csv":
-            with open(base + ".csv", "w", encoding="utf-8") as fh:
-                fh.write("n,k,re,im\n")
-                for k, c in enumerate(poly.coeffs):
-                    fh.write(f"{n},{k},{c.re},{c.im}\n")
+            _write_component_csv(base + ".csv", n, poly)
         else:
             _write_json(base + ".json", doc)
     return EXIT_OK
@@ -256,18 +253,11 @@ def cmd_cache(args) -> int:
     path = args.cache
     if args.action == "inspect":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-                entries = sum(1 for _ in fh)
-            print(json.dumps({
-                "version": header.get("version"),
-                "field_hash": header.get("field_hash"),
-                "x_order": header.get("x_order"),
-                "entries": entries,
-            }, indent=1, sort_keys=True))
-        except (OSError, json.JSONDecodeError) as exc:
+            info = cachemod.describe_cache(path)
+        except (OSError, ValueError) as exc:
             print(f"error: cannot inspect cache: {exc}", file=sys.stderr)
             return EXIT_IO
+        print(json.dumps(info, indent=1, sort_keys=True))
         return EXIT_OK
     if args.action == "clear":
         try:
@@ -378,6 +368,9 @@ def main(argv=None) -> int:
     except MouldCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     raise AssertionError(f"unknown command {args.command}")
 
 

@@ -12,7 +12,7 @@ from .moulds import Mould, solve_V, symmetral_inverse
 from .saddlenode import BivariateSeries, PhiSeries, SaddleNodeField
 from .scalars import ONE, ZERO
 from .series import (TruncatedSeries, euler_derivation, ps_mul,
-                     solve_euler_shifted)
+                     solve_euler_shifted, to_z_coeffs)
 from .words import beta, contributing_words, weight, word_key
 
 # y-polynomials are maps y-exponent -> TruncatedSeries with finitely
@@ -270,15 +270,13 @@ def formal_integral_residual(field: SaddleNodeField, phi: PhiSeries,
     zero = TruncatedSeries.zero(work)
 
     def to_w(s: TruncatedSeries) -> TruncatedSeries:
-        # x -> -w, padded to the working order (components are exact
-        # to their stated order; beyond it they are unknown, so demand
-        # enough x-order up front)
+        # x -> -w at the working order (components are exact to their
+        # stated order; beyond it they are unknown, so demand enough
+        # x-order up front)
         if s.order < work:
             raise ValueError(
                 f"need components to x-order {work}, got {s.order}")
-        return TruncatedSeries(
-            [s.coeffs[k] if k % 2 == 0 else -s.coeffs[k]
-             for k in range(work + 1)], work)
+        return to_z_coeffs(s.truncate(work))
 
     # Y as a polynomial in U with w-series coefficients
     Y = {1: TruncatedSeries.one(work)}

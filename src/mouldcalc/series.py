@@ -1,15 +1,18 @@
-"""Truncated power series in x over exact complex rationals.
+"""Truncated power series over exact complex rationals.
 
-A TruncatedSeries stores the coefficients c_0..c_K of x^0..x^K together
+A TruncatedSeries stores the coefficients c_0..c_K of t^0..t^K together
 with the order K up to which they are exactly valid.  Every operation
 reports the largest order to which its result is exact and never emits
 coefficients beyond it; binary operations truncate to the minimum of
 the operand orders.
 
-The module also provides the derivation d = x^2 d/dx, the inversion of
-the shifted derivation (x^2 d/dx + mu), and the coefficient
-correspondence between series in x and series in z^{-1} under
-z = -1/x (ZSeries).
+It is the only series type, used in three charts: the variable x of
+the field, w = 1/z for the formal integral (a series in z^{-1} is a
+w-series with zero constant term, and to_z_coeffs makes the
+substitution x = -1/z), and the Borel variable zeta.
+
+The module also provides the derivation d = x^2 d/dx and the inversion
+of the shifted derivation (x^2 d/dx + mu).
 """
 
 from __future__ import annotations
@@ -213,69 +216,13 @@ def solve_euler_shifted(b: TruncatedSeries, mu) -> TruncatedSeries:
     return TruncatedSeries(out, b.order)
 
 
-class ZSeries:
-    """Element of z^{-1} C[[z^{-1}]]: coefficients of z^{-k}, k = 1..order.
-
-    There is no constant term by construction.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = [_cq(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(coeffs) < order:
-            coeffs = coeffs + [ZERO] * (order - len(coeffs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs[:order]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZSeries is immutable")
-
-    def coefficient(self, k: int) -> CQ:
-        """Coefficient of z^{-k}, 1 <= k <= order."""
-        if not 1 <= k <= self.order:
-            raise IndexError(f"coefficient z^-{k} beyond valid order {self.order}")
-        return self.coeffs[k - 1]
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        terms = [f"{c}*z^-{k + 1}" for k, c in enumerate(self.coeffs) if c]
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O(z^-{self.order + 1})>"
-
-    def to_json(self) -> dict:
-        return {"order": self.order,
-                "coeffs": [c.to_quad() for c in self.coeffs]}
-
-
-def to_z_coeffs(a: TruncatedSeries) -> ZSeries:
-    """Substitute x = -1/z: the coefficient of x^k becomes (-1)^k times
-    the coefficient of z^{-k}.  Requires zero constant term."""
+def to_z_coeffs(a: TruncatedSeries) -> TruncatedSeries:
+    """Substitute x = -1/z: the result is the series in w = 1/z whose
+    w^k coefficient is (-1)^k times the x^k coefficient of a.  The map
+    is its own inverse.  Requires zero constant term, so that the image
+    lies in z^{-1}C[[z^{-1}]]."""
     if a.coeffs[0]:
         raise ConstantTermError(
             "series with nonzero constant term has no z^{-1}C[[z^{-1}]] image")
-    return ZSeries([a.coeffs[k] if k % 2 == 0 else -a.coeffs[k]
-                    for k in range(1, a.order + 1)], a.order)
-
-
-def from_z_coeffs(f: ZSeries) -> TruncatedSeries:
-    """Inverse of to_z_coeffs: z = -1/x."""
-    out = [ZERO] * (f.order + 1)
-    for k in range(1, f.order + 1):
-        c = f.coeffs[k - 1]
-        out[k] = c if k % 2 == 0 else -c
-    return TruncatedSeries(out, f.order)
+    return TruncatedSeries([c if k % 2 == 0 else -c
+                            for k, c in enumerate(a.coeffs)], a.order)

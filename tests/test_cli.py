@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -47,6 +48,28 @@ def run(args, tmp_path, sub="normalize", extra=()):
     return main(argv), out
 
 
+def with_digest(docs) -> str:
+    """Cache-file text for the given header and entry documents, in the
+    writer's layout, ending in a trailer that matches them."""
+    body = json.dumps(docs[0], sort_keys=True) + "\n" + "".join(
+        json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
+        for d in docs[1:])
+    sha = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return body + json.dumps({"sha256": sha}) + "\n"
+
+
+def tamper_euler_entry(cache):
+    """Set the x^2 coefficient of the cached [-1] entry to 7, leaving
+    every other byte of the file as written."""
+    lines = cache.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if '"word":[-1]}' in line)
+    entry = json.loads(lines[i])
+    entry["coeffs"][2] = [7, 1, 0, 1]
+    lines[i] = json.dumps(entry, sort_keys=True,
+                          separators=(",", ":")) + "\n"
+    cache.write_text("".join(lines))
+
+
 class TestNormalize:
     def test_euler_outputs(self, euler_file, tmp_path):
         code, out = run(["--field", euler_file, "--x-order", "10",
@@ -91,6 +114,40 @@ class TestNormalize:
     def test_missing_file_exit_3(self, tmp_path):
         code, _ = run(["--field", str(tmp_path / "nope.json")], tmp_path)
         assert code == 3
+
+    def test_unwritable_cache_exit_3(self, euler_file, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = main(["normalize", "--field", euler_file, "--x-order", "4",
+                     "--output-dir", str(tmp_path / "out"),
+                     "--cache", str(afile / "c.json")])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_output_dir_exit_3(self, euler_file, tmp_path,
+                                          capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = main(["borel", "--field", euler_file, "--zeta-order", "2",
+                     "--output-dir", str(afile / "out")])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_tampered_cache_exit_3_then_rebuild(self, euler_file, tmp_path,
+                                                capsys):
+        args = ["--field", euler_file, "--x-order", "6", "--n-max", "0"]
+        code, out = run(args, tmp_path)
+        assert code == 0
+        tamper_euler_entry(tmp_path / "cache.json")
+        (out / "phi_0.json").unlink()
+        code, _ = run(args, tmp_path)
+        assert code == 3
+        assert "digest" in capsys.readouterr().err
+        assert not (out / "phi_0.json").exists()
+        code, _ = run(args, tmp_path, extra=["--rebuild-cache"])
+        assert code == 0
+        doc = json.loads((out / "phi_0.json").read_text())
+        assert doc["coeffs"][2] == {"re": "-1", "im": "0"}
 
     def test_csv_format(self, euler_file, tmp_path):
         code, out = run(["--field", euler_file, "--x-order", "4",
@@ -145,23 +202,18 @@ class TestCheck:
                       extra=["--suite", "bogus"])
         assert code == 3
 
-    def test_poisoned_cache_exit_1(self, euler_file, tmp_path, capsys):
+    def test_poisoned_cache_exit_3(self, euler_file, tmp_path, capsys):
         # first run populates the cache
         code, _ = run(["--field", euler_file, "--x-order", "6"],
                       tmp_path, sub="check")
         assert code == 0
-        # corrupt one cached value, keeping hash/version intact
-        cache = tmp_path / "cache.json"
-        header, *entries = [json.loads(line)
-                            for line in cache.read_text().splitlines()]
-        entry = next(e for e in entries if e["word"] == [-1])
-        entry["coeffs"][2] = [7, 1, 0, 1]
-        cache.write_text("".join(json.dumps(d) + "\n"
-                                 for d in [header, *entries]))
+        # corrupt one cached value, keeping hash/version intact; the
+        # digest rejects the file before any value is used
+        tamper_euler_entry(tmp_path / "cache.json")
         code, _ = run(["--field", euler_file, "--x-order", "6"],
                       tmp_path, sub="check")
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().err
+        assert code == 3
+        assert "digest" in capsys.readouterr().err
 
     def test_corrupted_cache_exit_3_then_rebuild(self, euler_file,
                                                  tmp_path):
@@ -191,7 +243,7 @@ class TestCheck:
                       tmp_path, sub="check", extra=["--rebuild-cache"])
         assert code == 0
         header = json.loads(cache.read_text().splitlines()[0])
-        assert header["version"] == cachemod.CACHE_VERSION == 2
+        assert header["version"] == cachemod.CACHE_VERSION == 3
 
     def test_warm_cache_identical_outputs(self, euler_file, tmp_path):
         def normalize(out):
@@ -254,6 +306,8 @@ class TestCacheCommand:
         info = json.loads(capsys.readouterr().out)
         assert info["version"] == cachemod.CACHE_VERSION
         assert info["x_order"] == 5
+        # header and digest trailer are not entries
+        assert info["entries"] == len(cache.read_text().splitlines()) - 2
         assert info["entries"] >= 1
         assert main(["cache", "clear", "--cache", str(cache)]) == 0
         assert not cache.exists()
@@ -263,6 +317,12 @@ class TestCacheCommand:
     def test_inspect_missing_is_io_error(self, tmp_path):
         assert main(["cache", "inspect",
                      "--cache", str(tmp_path / "none.json")]) == 3
+
+    def test_inspect_non_object_header_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]\n")
+        assert main(["cache", "inspect", "--cache", str(path)]) == 3
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCacheModule:
@@ -289,13 +349,25 @@ class TestCacheModule:
             cachemod.load_mould_cache(path, "deadbeef", 4)
         with pytest.raises(CacheError):
             cachemod.load_mould_cache(path, fhash, 5)
-        # a foreign version, and an entry one coefficient short of x_order
-        header, entry = [json.loads(line)
-                         for line in path.read_text().splitlines()]
+        # a foreign version, and an entry one coefficient short of
+        # x_order, each under a matching digest
+        header, entry, _ = [json.loads(line)
+                            for line in path.read_text().splitlines()]
+        assert path.read_text() == with_digest([header, entry])
         short = dict(entry, coeffs=entry["coeffs"][:-1])
-        for lines in ([dict(header, version=999), entry], [header, short]):
-            path.write_text("".join(json.dumps(d) + "\n" for d in lines))
-            with pytest.raises(CacheError):
+        for docs in ([dict(header, version=999), entry], [header, short]):
+            path.write_text(with_digest(docs))
+            with pytest.raises(CacheError, match="version|order"):
+                cachemod.load_mould_cache(path, fhash, 4)
+        # a wrong digest, a missing trailer, and a line after the trailer
+        lines = with_digest([header, entry]).splitlines(keepends=True)
+        changed = dict(entry, coeffs=entry["coeffs"][::-1])
+        changed_line = with_digest([header, changed]).splitlines(
+            keepends=True)[1]
+        for bad in ([lines[0], changed_line, lines[2]], lines[:2],
+                    lines + [lines[1]]):
+            path.write_text("".join(bad))
+            with pytest.raises(CacheError, match="digest"):
                 cachemod.load_mould_cache(path, fhash, 4)
 
     def test_failed_write_keeps_previous_cache(self, euler_field, tmp_path,

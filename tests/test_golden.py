@@ -1,0 +1,179 @@
+"""Golden outputs: the README promises identical tables for identical
+inputs, so every table the CLI writes for three fixed fields must keep
+the SHA-256 recorded below.  A refactor that changes a byte of any
+table fails here; a deliberate change of output records new digests.
+
+The cache file is not a table and lives outside the output directory.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+import mouldcalc as mc
+from mouldcalc.cli import main
+
+COMMANDS = {
+    "normalize-json": ["normalize", "--x-order", "5", "--n-max", "2"],
+    "normalize-csv": ["normalize", "--x-order", "5", "--n-max", "2",
+                      "--format", "csv"],
+    "check": ["check", "--suite", "all", "--x-order", "4", "--n-max", "2"],
+    "borel": ["borel", "--zeta-order", "3", "--n-max", "2",
+              "--eval", "1/2"],
+}
+
+# Recorded at commit f4cea0e, before the refactors this file guards.
+GOLDEN = {
+    "cubic/borel": {
+        "phihat_0.json":
+            "a86d49f10483cb46c26b2c8e22c6ebdc8b21b89a728ce3555b1eb61fc043f369",
+        "phihat_1.json":
+            "8f78fae3db5024ccae1a696fe1a792f19133ca076218a32567a8d1d222538994",
+        "phihat_2.json":
+            "42a513b8d6a9b02bf9cd8a4b0060207d03eac14c95c7ce8a8bcb4d95d5c10015",
+    },
+    "cubic/check": {
+        "check_report.json":
+            "854e31569f811ec545580520b24c83d85ccfe4bd8a7851edb0556f1df224d999",
+    },
+    "cubic/normalize-csv": {
+        "phi_0.csv":
+            "25f067644b0e3023d31101fbaba9a4af707357a7b0292c6309f77e274a9c03d1",
+        "phi_1.csv":
+            "5f2aad8d5b586f3de6bd859de853994c98eb1a98255a90d5b742c3dbe969edd8",
+        "phi_2.csv":
+            "2ed367ebbf849b10286bc04f3344305e71eae660bd4eca6f28b1763c6437ae19",
+        "psi_0.csv":
+            "02743acf37cc29153472f088e01183383295ae73a80ab3144d98f4378f251a68",
+        "psi_1.csv":
+            "bf2c3e0aa4db7e28e91806912c92e8e0917b1870cdd52df49b5e1275bdfb68d1",
+        "psi_2.csv":
+            "f6007fa5b0d213fed05b4a57e5f126e6461699a3d76ad45962d3f879206a90c9",
+    },
+    "cubic/normalize-json": {
+        "phi_0.json":
+            "1d8c5491905a9b29290c5b8a04df4fe23170d81cb09bb0c08a1a9285ac2bee6d",
+        "phi_1.json":
+            "de0e57db8fbef4da2ceb1eb095434e971aca12f8f0ae90722117c1a100e98d38",
+        "phi_2.json":
+            "a19805c55291c956277d2d5ba6b225d5a05557f9d05209e86ec2b589bafce29e",
+        "psi_0.json":
+            "a102ed590ba532dc16fbb98111fa9ec574e2cf08a95f359196e651dcdb25078e",
+        "psi_1.json":
+            "ecf7dafce9d12b9fbb499249f629cb9dd795095fa4606789ca484cd02f2fa758",
+        "psi_2.json":
+            "243189d74d5d6cdb48732bc921172788515f6be2b18d4ed179a5a356f1048084",
+    },
+    "euler/borel": {
+        "phihat_0.json":
+            "92c71549ae7a402e171150c68843d3208de85c54ec92ce49108a0c372d480976",
+        "phihat_1.json":
+            "bfeb334b76c1cca9bfcbaadfaad8514f37b45f48310570708735b4342a35179d",
+        "phihat_2.json":
+            "5d64368152ca630564329e5e2a7dd0a1649265da3c5b43804eb74dd9bb2a9c69",
+    },
+    "euler/check": {
+        "check_report.json":
+            "6a67dc867a5b8b1f65029189828bb57ccf7c44f0c0f64fd01d91fefccf4f858a",
+    },
+    "euler/normalize-csv": {
+        "phi_0.csv":
+            "c773edc074ffef7fe93ace7a1a44561fd6c3c6b05a85b25f0570dc8bb5dc93a0",
+        "phi_1.csv":
+            "743794d7a3cddd48ab156fcf8f158c0d26b6d7ae6bce3c1ece0630fef695923c",
+        "phi_2.csv":
+            "69f06020c39af3878d1f60999d056d739c46bc6658afa9f7f85c9d3130f16e59",
+        "psi_0.csv":
+            "237db9200cadfe4f74706aa5bb55368fb381bd333b21b67e6d26b3eda7744b56",
+        "psi_1.csv":
+            "743794d7a3cddd48ab156fcf8f158c0d26b6d7ae6bce3c1ece0630fef695923c",
+        "psi_2.csv":
+            "69f06020c39af3878d1f60999d056d739c46bc6658afa9f7f85c9d3130f16e59",
+    },
+    "euler/normalize-json": {
+        "phi_0.json":
+            "9901dbf4eff8a5c69b85c898a7a2d706e5dc5f70d2fc1df99784f84deecee1e4",
+        "phi_1.json":
+            "399adafb2bb6e689b771b4fae596ef6a6f20f05d5da828ca1c6722ceb0e936d3",
+        "phi_2.json":
+            "772a8ed519916beb37c53a904b982f333aec6098c3d1e01233740b9f95fb950c",
+        "psi_0.json":
+            "8988a6aaa76a0e2adccbe537f6e8b897ad0cada34345b0c5996af16a99c8bb48",
+        "psi_1.json":
+            "399adafb2bb6e689b771b4fae596ef6a6f20f05d5da828ca1c6722ceb0e936d3",
+        "psi_2.json":
+            "772a8ed519916beb37c53a904b982f333aec6098c3d1e01233740b9f95fb950c",
+    },
+    "quadratic/borel": {
+        "phihat_0.json":
+            "fa616ebd84044c3f385c46d6aaa19a8ce7125d27cfa00d3bffe94715aa8a550a",
+        "phihat_1.json":
+            "858bc8e5a608cd47d964a75d5a8ae5dde0c6f222fcdc646d79a1f98b6a2ecab4",
+        "phihat_2.json":
+            "330773247c1aced38118c8bfb4258d42f3aa1285175ca29b9527e8e34c6c112b",
+    },
+    "quadratic/check": {
+        "check_report.json":
+            "b6a6882de8221845fdfffec1805bb1ecd5442c1447504469d9e09116d345aee3",
+    },
+    "quadratic/normalize-csv": {
+        "phi_0.csv":
+            "36e54dd36f41fc507aafd5935e3002d789b177b0dface3360172df297618d1e8",
+        "phi_1.csv":
+            "b7d9d28188b72d2d36fd24babf3718b5b5d07c740f343cb4b9dba95ea5c58d05",
+        "phi_2.csv":
+            "6b9473036bb82ec9146d80706e67d7b52056184ff1265884b877073072a96ddf",
+        "psi_0.csv":
+            "66daf0e0b05eb0e52ad32bc6401e7a55f4e8e5f88a3e1291869aaa3a95b0fd22",
+        "psi_1.csv":
+            "aeff61fdbfb4892643229e77252d1d8167678e923d751d5304b694eff1c5fd52",
+        "psi_2.csv":
+            "53f7d42a9b2ac07fe67c8cc9e36828310bb0191c6e879011768afceb44b3bbdc",
+    },
+    "quadratic/normalize-json": {
+        "phi_0.json":
+            "c57792aa1e9ac3b0f42916d00fcd576f09405cc1c16c6c31b343371b9493d59a",
+        "phi_1.json":
+            "b87cc62eaecb447a11349f251e4c77dae395062430b8ed50c959bd2e0360660d",
+        "phi_2.json":
+            "0411eefb821a1acc860a177e73979a7b4ccde9695669da686a1fc7735b15e63d",
+        "psi_0.json":
+            "5e48251bac77e6f5423058c09fbe9a1aa17919d2537ccb32dc35caaf17884ad5",
+        "psi_1.json":
+            "2fa0f6892c1e59550e6e5b7dca9699dd653c32a8775f6823d8cfa6c56fcb96d2",
+        "psi_2.json":
+            "7d7434bfa30b2cb45091796b03c8b0bf937a2b70edb46c73c83a3d91b7bfe480",
+    },
+}
+
+
+@pytest.fixture
+def field_files(tmp_path, euler_bivariate, quadratic_field, cubic_field):
+    files = {}
+    for name, A in (("euler", euler_bivariate),
+                    ("quadratic", quadratic_field.to_bivariate()),
+                    ("cubic", cubic_field.to_bivariate())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(mc.field_to_json(A)))
+        files[name] = str(path)
+    return files
+
+
+def table_digests(directory) -> dict:
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("field", ["euler", "quadratic", "cubic"])
+def test_tables_match_golden_digests(field, command, field_files, tmp_path):
+    out = tmp_path / "out"
+    argv = [*COMMANDS[command], "--field", field_files[field],
+            "--output-dir", str(out), "--cache", str(tmp_path / "c.json")]
+    assert main(argv) == 0
+    assert table_digests(out) == GOLDEN[f"{field}/{command}"]
