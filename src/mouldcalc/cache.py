@@ -73,8 +73,9 @@ def save_mould_cache(path, mould: Mould, fhash: str) -> None:
 
 
 def load_mould_cache(path, fhash: str, x_order: int) -> dict:
-    """Entries for Mould.preload, read line by line; an entry's order is
-    its coefficient count minus 1.  Nothing is returned before the
+    """Entries for Mould.preload, read line by line and truncated to
+    x_order, which must be the header's; an entry's order is its
+    coefficient count minus 1.  Nothing is returned before the
     trailer's digest matches.  Raises CacheError on any mismatch or
     malformation."""
     digest = hashlib.sha256()
@@ -88,9 +89,9 @@ def load_mould_cache(path, fhash: str, x_order: int) -> dict:
                                  f"{CACHE_VERSION}")
             if header["field_hash"] != fhash:
                 raise CacheError("cache belongs to a different field")
-            if header["x_order"] < x_order:
+            if header["x_order"] != x_order:
                 raise CacheError(
-                    f"cache x_order {header['x_order']} < {x_order}")
+                    f"cache x_order {header['x_order']} != {x_order}")
             entries = {}
             for line in fh:
                 e = json.loads(line)
@@ -106,7 +107,7 @@ def load_mould_cache(path, fhash: str, x_order: int) -> dict:
                 if len(coeffs) - 1 < x_order:
                     raise CacheError(f"cache entry {list(word)} has order "
                                      f"{len(coeffs) - 1} < {x_order}")
-                entries[word] = TruncatedSeries(coeffs)
+                entries[word] = TruncatedSeries(coeffs, x_order)
             raise CacheError(f"cache file {path} has no digest trailer")
     except CacheError:
         raise

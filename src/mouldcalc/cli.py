@@ -104,8 +104,8 @@ def _solver_with_cache(config, A, f):
             known = -1  # replace the rejected file even if nothing is new
 
     def save():
-        # a word is only ever re-solved on behalf of a new word, so an
-        # unchanged count means an unchanged memo
+        # memo entries are never replaced, so an unchanged count means
+        # an unchanged memo
         if len(mould.known_words()) > known:
             cachemod.save_mould_cache(path, mould, fhash)
 

@@ -18,9 +18,8 @@ from .words import check_word, shuffles, weight
 
 
 class Mould:
-    """Map from words to TruncatedSeries at a fixed x-order.  The memo
-    table may hold a word at a higher order (see solve_V); values are
-    truncated to x_order on return."""
+    """Map from words to TruncatedSeries at a fixed x-order.  Every
+    value, and every memo table entry, is at exactly x_order."""
 
     __slots__ = ("x_order", "tag", "_fn", "_memo")
 
@@ -35,7 +34,7 @@ class Mould:
         v = self._memo.get(word)
         if v is None:
             v = self._memo[word] = self._fn(word)
-        return v if v.order == self.x_order else v.truncate(self.x_order)
+        return v
 
     __call__ = value
 
@@ -44,13 +43,9 @@ class Mould:
         return list(self._memo)
 
     def preload(self, entries: dict) -> None:
-        """Seed the memo table, e.g. from a cache file; a word already
-        known keeps the higher of the two orders."""
-        for w, s in entries.items():
-            w = tuple(w)
-            prev = self._memo.get(w)
-            if prev is None or prev.order < s.order:
-                self._memo[w] = s
+        """Seed the memo table, e.g. from a cache file, with values at
+        x_order."""
+        self._memo.update(entries)
 
     def __repr__(self):
         return f"<Mould tag={self.tag!r} x_order={self.x_order}>"
@@ -70,8 +65,7 @@ def constant_mould(x_order: int, scalar=1) -> Mould:
 
 def mould_from_dict(x_order: int, values: dict, tag="constructed") -> Mould:
     """Finitely supported mould: given values, 0 on all other words."""
-    table = {tuple(w): s.truncate(min(s.order, x_order))
-             for w, s in values.items()}
+    table = {tuple(w): s.truncate(x_order) for w, s in values.items()}
     zero = TruncatedSeries.zero(x_order)
     return Mould(x_order, lambda w: table.get(w, zero), tag=tag)
 
@@ -158,24 +152,28 @@ def solve_V(field: SaddleNodeField, x_order: int) -> Mould:
     Each value is obtained by inverting the shifted Euler derivation on
     a_{n1} * V^{tail}.  The returned mould's memo table is the only
     store: it is keyed on words, so suffix sharing across the word set
-    is automatic, and it keeps each word at the highest order solved
-    (the zero-weight branch needs its tail one order higher).
+    is automatic.  Each word is solved once, at x_order K: the
+    zero-weight branch loses one order, but a_{n1} has zero constant
+    term, so the x^{K+1} coefficient of a_{n1} * V^{tail} reads the tail
+    only up to x^K.
     """
     mould = Mould(x_order, None, tag="solver")
     memo = mould._memo
 
-    def compute(word, order):
+    def compute(word):
         if not word:
-            return TruncatedSeries.one(order)
-        cached = memo.get(word)
-        if cached is not None and cached.order >= order:
-            return cached.truncate(order)
+            return TruncatedSeries.one(x_order)
+        v = memo.get(word)
+        if v is not None:
+            return v
         mu = weight(word)
-        # for mu = 0 the solve loses one order, and for a valid field the
-        # right-hand side lies in x^2 C[[x]]; solve_euler_shifted checks it
-        work = order if mu != 0 else order + 1
-        b = ps_mul(field.letter_series(word[0], work),
-                   compute(word[1:], work))
+        tail = compute(word[1:])
+        if mu == 0:
+            # the padding x^{K+1} coefficient is never read; for a valid
+            # field the right-hand side lies in x^2 C[[x]], and
+            # solve_euler_shifted checks it
+            tail = TruncatedSeries(tail.coeffs, x_order + 1)
+        b = ps_mul(field.letter_series(word[0], tail.order), tail)
         v = solve_euler_shifted(b, mu)
         val = v.valuation()
         bound = ceil(len(word) / 2)
@@ -185,7 +183,7 @@ def solve_V(field: SaddleNodeField, x_order: int) -> Mould:
         memo[word] = v
         return v
 
-    mould._fn = lambda w: compute(check_word(w), x_order)
+    mould._fn = lambda w: compute(check_word(w))
     return mould
 
 

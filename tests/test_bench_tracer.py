@@ -19,3 +19,17 @@ def test_tracer_resolves_every_traced_name(monkeypatch):
     with tracer:
         assert borel.conv is not original
     assert borel.conv is original
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    """Every benchmark job's command line, `--threads 1` included, is
+    accepted by the CLI parser and gives a run configuration."""
+    monkeypatch.syspath_prepend(os.path.abspath(BENCH))
+    workloads = importlib.import_module("workloads")
+    cli = importlib.import_module("mouldcalc.cli")
+    parser = cli.build_parser()
+    for workload in workloads.WORKLOADS:
+        argv = workloads.job_argv(workload, "f.json", "out", "c.json")
+        config = cli.config_from_args(parser.parse_args(argv))
+        assert (config.field_path, config.output_dir) == ("f.json", "out")
+        assert config.n_max == workloads.N_MAX

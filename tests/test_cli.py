@@ -7,7 +7,7 @@ import pytest
 
 import mouldcalc as mc
 from mouldcalc import cache as cachemod
-from mouldcalc import moulds
+from mouldcalc import cli, moulds
 from mouldcalc.cli import main
 from mouldcalc.errors import CacheError
 from mouldcalc.scalars import CQ
@@ -148,6 +148,20 @@ class TestNormalize:
         assert code == 0
         doc = json.loads((out / "phi_0.json").read_text())
         assert doc["coeffs"][2] == {"re": "-1", "im": "0"}
+
+    def test_lower_order_run_keeps_higher_order_cache(self, euler_file,
+                                                      tmp_path, capsys):
+        def normalize(x_order):
+            return run(["--field", euler_file, "--x-order", x_order,
+                        "--n-max", "2"], tmp_path)[0]
+
+        cache = tmp_path / "cache.json"
+        assert normalize("8") == 0
+        before = cache.read_bytes()
+        assert normalize("4") == 3
+        assert "x_order 8 != 4" in capsys.readouterr().err
+        assert cache.read_bytes() == before
+        assert normalize("8") == 0
 
     def test_csv_format(self, euler_file, tmp_path):
         code, out = run(["--field", euler_file, "--x-order", "4",
@@ -347,8 +361,9 @@ class TestCacheModule:
         cachemod.save_mould_cache(path, mould, fhash)
         with pytest.raises(CacheError):
             cachemod.load_mould_cache(path, "deadbeef", 4)
-        with pytest.raises(CacheError):
-            cachemod.load_mould_cache(path, fhash, 5)
+        for other_order in (5, 3):
+            with pytest.raises(CacheError, match="x_order"):
+                cachemod.load_mould_cache(path, fhash, other_order)
         # a foreign version, and an entry one coefficient short of
         # x_order, each under a matching digest
         header, entry, _ = [json.loads(line)
@@ -369,6 +384,20 @@ class TestCacheModule:
             path.write_text("".join(bad))
             with pytest.raises(CacheError, match="digest"):
                 cachemod.load_mould_cache(path, fhash, 4)
+
+    def test_entry_above_header_order_truncated(self, euler_field,
+                                                tmp_path):
+        # a version-3 file may hold suffix entries above its header order
+        A = euler_field.to_bivariate(1, 1)
+        fhash = cachemod.field_hash(A)
+        high = mc.solve_V(euler_field, 6).value((-1,))
+        header = {"version": cachemod.CACHE_VERSION, "field_hash": fhash,
+                  "x_order": 4}
+        entry = {"word": [-1], "coeffs": [c.to_quad() for c in high.coeffs]}
+        path = tmp_path / "c.json"
+        path.write_text(with_digest([header, entry]))
+        entries = cachemod.load_mould_cache(path, fhash, 4)
+        assert entries == {(-1,): mc.solve_V(euler_field, 4).value((-1,))}
 
     def test_failed_write_keeps_previous_cache(self, euler_field, tmp_path,
                                                monkeypatch):
@@ -449,6 +478,26 @@ class TestCacheReuse:
         assert len(calls) == 1
         monkeypatch.undo()
         assert value == mc.solve_V(field, 6).value(word)
+
+    def test_cold_run_solves_each_word_once(self, field_file, tmp_path,
+                                            monkeypatch):
+        solvers, calls = [], []
+        real_solve_V, real_solve = cli.solve_V, moulds.solve_euler_shifted
+
+        def solve_V(field, x_order):
+            solvers.append(real_solve_V(field, x_order))
+            return solvers[-1]
+
+        def counted(b, mu):
+            calls.append(mu)
+            return real_solve(b, mu)
+
+        monkeypatch.setattr(cli, "solve_V", solve_V)
+        monkeypatch.setattr(moulds, "solve_euler_shifted", counted)
+        assert self.normalize(field_file, tmp_path) == 0
+        [mould] = solvers
+        assert len(calls) == len(mould.known_words())
+        assert {v.order for v in mould._memo.values()} == {6}
 
     def test_repeated_run_leaves_cache_untouched(self, field_file,
                                                  tmp_path):

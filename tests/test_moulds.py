@@ -69,6 +69,15 @@ class TestMouldMul:
             mc.mould_mul(mc.unit_mould(3), mc.unit_mould(4))
 
 
+class TestMouldFromDict:
+    def test_values_at_x_order(self):
+        f = TS([mc.cq(0), mc.cq(2), mc.cq(-1), mc.cq(5)], 3)
+        M = mould_from_dict(2, {(1,): f})
+        assert M.value((1,)) == f.truncate(2)
+        with pytest.raises(ValueError, match="from order 3 to 4"):
+            mould_from_dict(4, {(1,): f})
+
+
 class TestMouldInverse:
     def test_unit_self_inverse(self):
         U = mc.unit_mould(3)
