@@ -1,7 +1,9 @@
 """Formal Borel transform: series in w = 1/z to truncated series in
-zeta, the convolution product, division by (zeta - m), and the
-recursive Borel transforms of the solver values and normalising
-components.  Both sides are TruncatedSeries, in the w and zeta charts.
+zeta, the convolution product, division by (zeta - m), and the Borel
+transforms of the solver values and normalising components.  Both
+sides are TruncatedSeries, in the w and zeta charts.
+V^^ is one memoised Mould at one zeta-order, built by the solver's own
+word recursion, and phi^_n is its component sum.
 """
 
 from __future__ import annotations
@@ -10,10 +12,12 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ConstantTermError
+from .moulds import Mould
+from .normalisation import component_sum
 from .saddlenode import SaddleNodeField
 from .scalars import ZERO
 from .series import TruncatedSeries, to_z_coeffs
-from .words import beta, check_word, contributing_words, word_key
+from .words import check_word, weight
 
 
 def borel(f: TruncatedSeries) -> TruncatedSeries:
@@ -56,8 +60,8 @@ def conv(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 def divide_by_zeta_minus(m: int, f: TruncatedSeries) -> TruncatedSeries:
     """Multiply f by 1/(zeta - m).
 
-    For m != 0 this is the exact geometric expansion
-    -(1/m) sum (zeta/m)^k; for m = 0 the coefficients shift down one
+    For m != 0 this is the recurrence g_d = (g_{d-1} - f_d)/m, g_{-1} = 0,
+    at the order of f; for m = 0 the coefficients shift down one
     degree, which requires a vanishing constant term.
     """
     if m == 0:
@@ -68,17 +72,12 @@ def divide_by_zeta_minus(m: int, f: TruncatedSeries) -> TruncatedSeries:
         if f.order == 0:
             raise ValueError("order 0 leaves nothing after the shift")
         return TruncatedSeries(f.coeffs[1:], f.order - 1)
-    inv_m = Fraction(-1, m)
-    out = [ZERO] * (f.order + 1)
-    # out[d] = -(1/m) sum_{i <= d} f_i / m^{d-i}
-    for d in range(f.order + 1):
-        acc = ZERO
-        p = Fraction(1)
-        for i in range(d, -1, -1):
-            if f.coeffs[i]:
-                acc = acc + f.coeffs[i] * p
-            p = p / m
-        out[d] = acc * inv_m
+    inv_m = Fraction(1, m)
+    g = ZERO
+    out = []
+    for c in f.coeffs:
+        g = (g - c) * inv_m
+        out.append(g)
     return TruncatedSeries(out, f.order)
 
 
@@ -90,33 +89,34 @@ def borel_letter(field: SaddleNodeField, n: int,
     return borel(to_z_coeffs(a)).truncate(order)
 
 
-def borel_V(field: SaddleNodeField, w, zeta_order: int) -> TruncatedSeries:
-    """Borel transform of the solver value on w, via the nested
-    recursion (-1)^r (1/(zeta - nhat_1)) (a^_{n_1} * (1/(zeta - nhat_2))
-    (a^_{n_2} * ...)), with nhat_i = n_i + ... + n_r.
+def borel_mould(field: SaddleNodeField, zeta_order: int) -> Mould:
+    """V^^w, the Borel transforms of the solver values, as one memoised
+    mould at zeta_order (undefined on the empty word):
+    V^^w = -(1/(zeta - weight(w))) (a^_{n_1} * V^^{w[1:]}), with a^_{n_1}
+    alone on one-letter words.  Each letter is built once, at
+    zeta_order + 1, which closes the recursion: conv is exact to
+    min(orders) + 1, and 1/(zeta - m) loses one order only for m = 0.
     """
+    letters = {}
+
+    def fn(w):
+        if w[0] not in letters:
+            letters[w[0]] = borel_letter(field, w[0], zeta_order + 1)
+        rhs = letters[w[0]]
+        if len(w) > 1:
+            rhs = conv(rhs, mould.value(w[1:]))
+        return -divide_by_zeta_minus(weight(w), rhs).truncate(zeta_order)
+
+    mould = Mould(zeta_order, fn, tag="borel")
+    return mould
+
+
+def borel_V(field: SaddleNodeField, w, zeta_order: int) -> TruncatedSeries:
+    """Borel transform of the solver value on w (see borel_mould)."""
     w = check_word(w)
     if not w:
         raise ValueError("borel_V is defined on non-empty words")
-    r = len(w)
-    work = zeta_order + r + 1
-    suffix = list(w)
-    # nhat_i for i = 1..r
-    nhat = []
-    s = 0
-    for n in reversed(w):
-        s += n
-        nhat.append(s)
-    nhat.reverse()
-    cur = divide_by_zeta_minus(nhat[-1], borel_letter(field, w[-1], work))
-    for i in range(r - 2, -1, -1):
-        cur = conv(borel_letter(field, w[i], work), cur)
-        cur = divide_by_zeta_minus(nhat[i], cur)
-    if r % 2 == 1:
-        cur = -cur
-    if cur.order < zeta_order:
-        raise AssertionError("order bookkeeping fell short in borel_V")
-    return cur.truncate(zeta_order)
+    return borel_mould(field, zeta_order).value(w)
 
 
 def borel_phi_n(field: SaddleNodeField, n: int,
@@ -126,17 +126,8 @@ def borel_phi_n(field: SaddleNodeField, n: int,
     The contributing-word bound is taken at x-order zeta_order + 1 (the
     Borel transform consumes one z-power).
     """
-    if n < 0:
-        raise ValueError("component index must be >= 0")
-    x_order = zeta_order + 1
-    acc = TruncatedSeries.zero(zeta_order)
-    for w in sorted(contributing_words(n - 1, x_order, field.support),
-                    key=word_key):
-        b = beta(w)
-        if b == 0:
-            continue
-        acc = acc + borel_V(field, w, zeta_order).scale(b)
-    return acc
+    return component_sum(field, n, zeta_order + 1,
+                         borel_mould(field, zeta_order), reverse=False)[0]
 
 
 def eval_partial_sum(f: TruncatedSeries, zeta: Fraction):

@@ -85,36 +85,36 @@ def _load_validated(config):
 
 
 def _solver_with_cache(config, A, f):
-    """(mould, fhash, save): the solver preloaded from the cache file,
-    and a function that rewrites the file if the run added words."""
+    """(mould, fhash, loaded, save): the solver preloaded from the cache
+    file, the count of words loaded from a valid file (else None), and
+    a function that writes the file unless it is valid and complete."""
     mould = solve_V(f, config.x_order)
     fhash = cachemod.field_hash(A)
     path = config.cache_path or cachemod.cache_path(A, config.x_order)
-    known = 0
+    loaded = None
     if os.path.exists(path):
         try:
             mould.preload(cachemod.load_mould_cache(path, fhash,
                                                     config.x_order))
-            known = len(mould.known_words())
+            loaded = len(mould.known_words())
         except CacheError as exc:
             if not config.rebuild_cache:
                 print(f"error: {exc} (use --rebuild-cache)",
                       file=sys.stderr)
                 raise SystemExit(EXIT_IO)
-            known = -1  # replace the rejected file even if nothing is new
 
     def save():
         # memo entries are never replaced, so an unchanged count means
         # an unchanged memo
-        if len(mould.known_words()) > known:
+        if loaded is None or len(mould.known_words()) > loaded:
             cachemod.save_mould_cache(path, mould, fhash)
 
-    return mould, fhash, save
+    return mould, fhash, loaded, save
 
 
 def cmd_normalize(config: RunConfig) -> int:
     A, f = _load_validated(config)
-    mould, _, save_cache = _solver_with_cache(config, A, f)
+    mould, _, _, save_cache = _solver_with_cache(config, A, f)
     os.makedirs(config.output_dir, exist_ok=True)
     for kind, component in (("phi", phi_component), ("psi", psi_component)):
         for n in range(config.n_max + 1):
@@ -147,7 +147,7 @@ def _iter_words(support, max_len):
 
 def cmd_check(config: RunConfig) -> int:
     A, f = _load_validated(config)
-    mould, fhash, save_cache = _solver_with_cache(config, A, f)
+    mould, fhash, loaded, save_cache = _solver_with_cache(config, A, f)
     support = f.support
     results = []
     failed = False
@@ -211,7 +211,8 @@ def cmd_check(config: RunConfig) -> int:
         "field_hash": fhash, "x_order": config.x_order,
         "results": results,
     })
-    save_cache()
+    if loaded is None:  # check never rewrites a valid cache
+        save_cache()
     if failed:
         for r in results:
             if r["status"] == "FAIL":
@@ -368,6 +369,10 @@ def main(argv=None) -> int:
     except MouldCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except AssertionError as exc:
+        # an internal identity failed (valuation bound, oracle settling)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IDENTITY
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

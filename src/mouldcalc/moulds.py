@@ -18,8 +18,9 @@ from .words import check_word, shuffles, weight
 
 
 class Mould:
-    """Map from words to TruncatedSeries at a fixed x-order.  Every
-    value, and every memo table entry, is at exactly x_order."""
+    """Map from words to TruncatedSeries at a fixed x-order, the order
+    in the series' chart (zeta for a Borel mould).  Every value, and
+    every memo table entry, is at exactly x_order."""
 
     __slots__ = ("x_order", "tag", "_fn", "_memo")
 

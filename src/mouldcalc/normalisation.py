@@ -66,18 +66,21 @@ def mould_expansion_apply(M: Mould, words, f: YPolynomial) -> YPolynomial:
     return {k: s for k, s in out.items() if not s.is_zero()}
 
 
-def _component_sum(field: SaddleNodeField, n: int, x_order: int,
-                   mould: Mould, reverse: bool):
-    """sum of beta(w) * M^w over contributing words of weight n - 1,
-    reduced in the canonical word order.
+def component_sum(field: SaddleNodeField, n: int, x_order: int,
+                  mould: Mould, reverse: bool):
+    """sum of beta(w) * M^w over the words of weight n - 1 that
+    contribute at x-order x_order, reduced in the canonical word order
+    at M's order.
 
     Returns (series, word_count).  Words with beta = 0 are counted but
     never evaluated.
     """
+    if n < 0:
+        raise ValueError("component index must be >= 0")
     words = sorted(
         contributing_words(n - 1, x_order, field.support, reverse=reverse),
         key=word_key)
-    acc = TruncatedSeries.zero(x_order)
+    acc = TruncatedSeries.zero(mould.x_order)
     for w in words:
         b = beta(w)
         if b != 0:
@@ -89,11 +92,9 @@ def phi_component(field: SaddleNodeField, n: int, x_order: int,
                   mould: Mould = None):
     """phi_n = sum beta(w) V^w over words of weight n - 1; returns
     (series, word_count)."""
-    if n < 0:
-        raise ValueError("component index must be >= 0")
     if mould is None:
         mould = solve_V(field, x_order)
-    return _component_sum(field, n, x_order, mould, reverse=False)
+    return component_sum(field, n, x_order, mould, reverse=False)
 
 
 def phi_n(field: SaddleNodeField, n: int, x_order: int,
@@ -105,12 +106,10 @@ def psi_component(field: SaddleNodeField, n: int, x_order: int,
                   mould: Mould = None):
     """Same assembly as phi_component with the symmetral inverse of the
     solver mould; returns (series, word_count)."""
-    if n < 0:
-        raise ValueError("component index must be >= 0")
     if mould is None:
         mould = solve_V(field, x_order)
     inv = symmetral_inverse(mould)
-    return _component_sum(field, n, x_order, inv, reverse=True)
+    return component_sum(field, n, x_order, inv, reverse=True)
 
 
 def psi_n(field: SaddleNodeField, n: int, x_order: int,

@@ -1,14 +1,20 @@
+import importlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mouldcalc as mc
 from mouldcalc import TruncatedSeries as TS
 from mouldcalc.borel import borel_letter
 from mouldcalc.errors import ConstantTermError
+
+# the package attribute mouldcalc.borel is the function of that name
+borelmod = importlib.import_module("mouldcalc.borel")
 
 
 def zseries(*coeffs):
@@ -19,6 +25,27 @@ def zseries(*coeffs):
 def random_zseries(rng, order):
     return zseries(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                      for _ in range(order)))
+
+
+def reference_divide_by_zeta_minus(m, f):
+    """f / (zeta - m) for m != 0 by the geometric expansion
+    -(1/m) sum (zeta/m)^k: out[d] = -(1/m) sum_{i <= d} f_i / m^{d-i}."""
+    inv_m = Fraction(-1, m)
+    out = [mc.cq(0)] * (f.order + 1)
+    for d in range(f.order + 1):
+        acc = mc.cq(0)
+        p = Fraction(1)
+        for i in range(d, -1, -1):
+            if f.coeffs[i]:
+                acc = acc + f.coeffs[i] * p
+            p = p / m
+        out[d] = acc * inv_m
+    return TS(out, f.order)
+
+
+gaussian_rationals = st.builds(
+    mc.cq, st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5))
 
 
 class TestBorel:
@@ -129,6 +156,14 @@ class TestDivideByZetaMinus:
             # truncated zeta-shift
             assert back[:-1] == list(f.coeffs[: f.order])
 
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(-7, 7).filter(bool),
+           coeffs=st.lists(gaussian_rationals, min_size=1, max_size=9))
+    def test_recurrence_matches_geometric_sum(self, m, coeffs):
+        f = TS(coeffs, len(coeffs) - 1)
+        assert mc.divide_by_zeta_minus(m, f) == \
+            reference_divide_by_zeta_minus(m, f)
+
 
 class TestBorelV:
     def test_euler_geometric(self, euler_field):
@@ -148,14 +183,21 @@ class TestBorelV:
 
     def test_route_equivalence(self, quadratic_field):
         """borel_V must equal borel(to_z_coeffs(solve_V value)) on
-        every word: two fully independent computation paths."""
+        every word: two fully independent computation paths.  The long
+        words have zero-weight suffixes, where 1/zeta spends the one
+        order of margin that the letters carry."""
         zeta_order = 5
         V = mc.solve_V(quadratic_field, zeta_order + 1)
-        for r in range(1, 4):
-            for w in itertools.product(quadratic_field.support, repeat=r):
-                direct = mc.borel_V(quadratic_field, w, zeta_order)
-                via_x = mc.borel(mc.to_z_coeffs(V.value(w)))
-                assert direct == via_x.truncate(zeta_order), w
+        words = [w for r in range(1, 4)
+                 for w in itertools.product(quadratic_field.support,
+                                            repeat=r)]
+        words += [(1, -1, 1, -1, 1, -1), (0, 0, 0, 0, 0),
+                  (2, -1, -1, 0, 1, -1), (-1, 1, 0, -1, 1),
+                  (2, -1, 0, -1, 0, 1)]
+        for w in words:
+            direct = mc.borel_V(quadratic_field, w, zeta_order)
+            via_x = mc.borel(mc.to_z_coeffs(V.value(w)))
+            assert direct == via_x.truncate(zeta_order), w
 
 
 class TestBorelPhiN:
@@ -166,6 +208,40 @@ class TestBorelPhiN:
     def test_trivial(self, trivial_field):
         for n in range(3):
             assert mc.borel_phi_n(trivial_field, n, 6).is_zero()
+
+    def test_one_division_per_memo_entry(self, quadratic_field,
+                                         monkeypatch):
+        """One borel_phi_n call builds one mould: each memo entry costs
+        one division, each distinct letter one Borel polynomial, and
+        every value is at zeta_order."""
+        zeta_order = 5
+        moulds, divisions, letters = [], [], []
+        real_mould = borelmod.borel_mould
+        real_divide = borelmod.divide_by_zeta_minus
+        real_letter = borelmod.borel_letter
+
+        def borel_mould(field, order):
+            moulds.append(real_mould(field, order))
+            return moulds[-1]
+
+        def divide(m, f):
+            divisions.append(m)
+            return real_divide(m, f)
+
+        def letter(field, n, order):
+            letters.append((n, order))
+            return real_letter(field, n, order)
+
+        monkeypatch.setattr(borelmod, "borel_mould", borel_mould)
+        monkeypatch.setattr(borelmod, "divide_by_zeta_minus", divide)
+        monkeypatch.setattr(borelmod, "borel_letter", letter)
+        mc.borel_phi_n(quadratic_field, 2, zeta_order)
+        [mould] = moulds
+        memo = mould._memo
+        assert len(divisions) == len(memo) > 0
+        assert sorted(letters) == sorted(
+            {(n, zeta_order + 1) for w in memo for n in w})
+        assert {v.order for v in memo.values()} == {zeta_order}
 
     def test_matches_x_route(self, cubic_field):
         zeta_order = 5

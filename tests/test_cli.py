@@ -149,6 +149,16 @@ class TestNormalize:
         doc = json.loads((out / "phi_0.json").read_text())
         assert doc["coeffs"][2] == {"re": "-1", "im": "0"}
 
+    def test_valuation_violation_exit_1(self, euler_file, tmp_path,
+                                        monkeypatch, capsys):
+        # a solver value of valuation 0 breaks val(V^w) >= ceil(r/2)
+        monkeypatch.setattr(moulds, "solve_euler_shifted",
+                            lambda b, mu: mc.TruncatedSeries.one(b.order))
+        code, _ = run(["--field", euler_file, "--x-order", "4"], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "valuation bound violated" in err
+
     def test_lower_order_run_keeps_higher_order_cache(self, euler_file,
                                                       tmp_path, capsys):
         def normalize(x_order):
@@ -505,4 +515,15 @@ class TestCacheReuse:
         assert self.normalize(field_file, tmp_path, "cold") == 0
         before = cache.read_bytes(), cache.stat().st_mtime_ns
         assert self.normalize(field_file, tmp_path, "warm") == 0
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+
+    def test_check_leaves_loaded_cache_untouched(self, field_file,
+                                                 tmp_path):
+        cache = tmp_path / "cache.json"
+        assert self.normalize(field_file, tmp_path) == 0
+        before = cache.read_bytes(), cache.stat().st_mtime_ns
+        assert main(["check", "--suite", "all", "--field", field_file,
+                     "--x-order", "6", "--n-max", "3",
+                     "--output-dir", str(tmp_path / "check"),
+                     "--cache", str(cache)]) == 0
         assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before

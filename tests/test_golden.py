@@ -22,9 +22,13 @@ COMMANDS = {
     "check": ["check", "--suite", "all", "--x-order", "4", "--n-max", "2"],
     "borel": ["borel", "--zeta-order", "3", "--n-max", "2",
               "--eval", "1/2"],
+    "borel-zeta5": ["borel", "--zeta-order", "5", "--n-max", "3",
+                    "--eval", "1/2"],
 }
 
-# Recorded at commit f4cea0e, before the refactors this file guards.
+# Recorded at commit f4cea0e, before the refactors this file guards;
+# the borel-zeta5 digests at commit 3e6ac80, before the Borel transforms
+# became one memoised mould.
 GOLDEN = {
     "cubic/borel": {
         "phihat_0.json":
@@ -33,6 +37,16 @@ GOLDEN = {
             "8f78fae3db5024ccae1a696fe1a792f19133ca076218a32567a8d1d222538994",
         "phihat_2.json":
             "42a513b8d6a9b02bf9cd8a4b0060207d03eac14c95c7ce8a8bcb4d95d5c10015",
+    },
+    "cubic/borel-zeta5": {
+        "phihat_0.json":
+            "95930f9b53ba0c0fadff6d58150c0ec600fc5706ae1af07618a062f6cfd9dd14",
+        "phihat_1.json":
+            "b97d846281954479ca3fced900f61da943b94d80b9869572c648aab46ec6434b",
+        "phihat_2.json":
+            "edcc8d898df387936e51cc61d04b861265de0b0024c1e2edc27562c9bb3b54d9",
+        "phihat_3.json":
+            "e26072e5f884166e93d69e06ee0a25435014a9131680e1ce9bf58cf606992c1b",
     },
     "cubic/check": {
         "check_report.json":
@@ -74,6 +88,16 @@ GOLDEN = {
         "phihat_2.json":
             "5d64368152ca630564329e5e2a7dd0a1649265da3c5b43804eb74dd9bb2a9c69",
     },
+    "euler/borel-zeta5": {
+        "phihat_0.json":
+            "ab22055073ccad1f7598f2d850ba10e3e1614f7fb6c437d2ce5efdb56be914c5",
+        "phihat_1.json":
+            "3fdd93ca096f3f4440ba4b44ac54834b751f0aa84b95d8b65f22b58bc0ac1734",
+        "phihat_2.json":
+            "f5075ac857a76d741f3c55f9d1c3fa799900394a97b2e87dd37e3d13f079a7d2",
+        "phihat_3.json":
+            "d18a3a7e6552920cbbc1b6660d31f66c882f5ac6d6d2d79de0740c7e6057b93e",
+    },
     "euler/check": {
         "check_report.json":
             "6a67dc867a5b8b1f65029189828bb57ccf7c44f0c0f64fd01d91fefccf4f858a",
@@ -113,6 +137,16 @@ GOLDEN = {
             "858bc8e5a608cd47d964a75d5a8ae5dde0c6f222fcdc646d79a1f98b6a2ecab4",
         "phihat_2.json":
             "330773247c1aced38118c8bfb4258d42f3aa1285175ca29b9527e8e34c6c112b",
+    },
+    "quadratic/borel-zeta5": {
+        "phihat_0.json":
+            "c879c7793ddcda36c142dea019f2bf77057b3333d730ed7aa8010b78c1e973c6",
+        "phihat_1.json":
+            "c84fd6e8deb172ceac7d3560257625692b5f039f84663b1c3695dd0d4b7153b0",
+        "phihat_2.json":
+            "f606deed56f6c2937bbbd8c4a22dc7fc39726589ece97a03169b1a3b0d27a327",
+        "phihat_3.json":
+            "0e4bf74674f81cc70637c5b3599351595fdef00d6fdd2072cbd68c0104352b13",
     },
     "quadratic/check": {
         "check_report.json":
