@@ -1,12 +1,17 @@
 """Golden outputs: the README promises identical tables for identical
-inputs, so every table the CLI writes for three fixed fields must keep
+inputs, so every table the CLI writes for four fixed fields must keep
 the SHA-256 recorded below.  A refactor that changes a byte of any
 table fails here; a deliberate change of output records new digests.
+The `gaussian` field has non-real coefficients, so it pins the
+imaginary parts as well.
 
-The cache file is not a table and lives outside the output directory.
+The cache file is not a table and lives outside the output directory;
+its bytes are pinned separately, since a cache written by one version
+must load in the next.
 """
 
 import hashlib
+from fractions import Fraction
 import json
 import os
 
@@ -14,6 +19,8 @@ import pytest
 
 import mouldcalc as mc
 from mouldcalc.cli import main
+
+from conftest import bivariate
 
 COMMANDS = {
     "normalize-json": ["normalize", "--x-order", "5", "--n-max", "2"],
@@ -28,7 +35,8 @@ COMMANDS = {
 
 # Recorded at commit f4cea0e, before the refactors this file guards;
 # the borel-zeta5 digests at commit 3e6ac80, before the Borel transforms
-# became one memoised mould.
+# became one memoised mould; the gaussian digests and CACHE_GOLDEN at
+# commit 0925446, before the series core moved to integer numerators.
 GOLDEN = {
     "cubic/borel": {
         "phihat_0.json":
@@ -130,6 +138,56 @@ GOLDEN = {
         "psi_2.json":
             "772a8ed519916beb37c53a904b982f333aec6098c3d1e01233740b9f95fb950c",
     },
+    "gaussian/borel": {
+        "phihat_0.json":
+            "bb575d86dffdb128ecbf096f9aba9dd90e1b42440eab3844c4a2021c332f0762",
+        "phihat_1.json":
+            "018d43d85784c01ccd59fa2e75aa91e6cb6449c510c80a8714468a4b9a102533",
+        "phihat_2.json":
+            "5dfbfc624aa7f4db5da50ce33daab4c435b2bbcc54c631377aa726412392ed85",
+    },
+    "gaussian/borel-zeta5": {
+        "phihat_0.json":
+            "947dd12f8d094cacb47223d489e0c050e3b21b9642a60a508f58bf935a496582",
+        "phihat_1.json":
+            "8fe5c8bed0df16704b5d497076a582ea71b23b1871438c475b796f1b4c4e7ec1",
+        "phihat_2.json":
+            "6d4362d9556650df7d600aea52defbf5af177d98012a1b96e803a261ef428d56",
+        "phihat_3.json":
+            "e97d926fa81b32469cb316dfc3181e497bb00f50985b5b13ca3e0569aacc2d8b",
+    },
+    "gaussian/check": {
+        "check_report.json":
+            "f32499ab27ad710d4fe8758bef98c1a78c713b5b01a7a81aae20f8d1a672ccfc",
+    },
+    "gaussian/normalize-csv": {
+        "phi_0.csv":
+            "21b9945173ffd57277660a8ea469fab63f7a63e0d7727bfaa0b9ab0b0bc7b07f",
+        "phi_1.csv":
+            "b7d0b3983cb8c762327854d918d1a012d800c3632e6dd69fa1645f853332eaf3",
+        "phi_2.csv":
+            "24b02132418bcaaeb7321e00c5d9f3198f13ecfa5eb3d8a0f6fd333bc113dd00",
+        "psi_0.csv":
+            "7cdc9df4a8a4f2b7bfc70e3e8dc149c4f568d637d605eccfd7690659e8aa4b21",
+        "psi_1.csv":
+            "aca7c431571673310189fc12de266ddbbbe0326547c9984bb4f68ee6d9e29d63",
+        "psi_2.csv":
+            "0132e6da1d146e90d4c49a261baa653edca42d173017c8a1c9a0c4323bef391d",
+    },
+    "gaussian/normalize-json": {
+        "phi_0.json":
+            "36e88fc742649b313dad2d1268f38f382dcb2d6e16378aaa32b1113e759d7e76",
+        "phi_1.json":
+            "46a4ea7a01a939301e0b283b9e2ef0d05db0ce617b6f1af3e2dea5836794652b",
+        "phi_2.json":
+            "905d414167ebf75e23b4807c5108e090ef2a2f5f5e047f5d1e00d76f8da073a3",
+        "psi_0.json":
+            "e66ec0424b5c6eb218d09086ddf8dd053a01c3911dd3101a330523c205df7112",
+        "psi_1.json":
+            "0f533865917fac768a88a47b50322b577d38c9ad182cc2ec9b3629750f9ed1f5",
+        "psi_2.json":
+            "ac7a033e94936ac530b5a9f7fe0ebde462e9f53d3424f17e36555917baab766f",
+    },
     "quadratic/borel": {
         "phihat_0.json":
             "fa616ebd84044c3f385c46d6aaa19a8ce7125d27cfa00d3bffe94715aa8a550a",
@@ -183,12 +241,20 @@ GOLDEN = {
 }
 
 
+def gaussian_bivariate():
+    # letters -1, 0, 1 with Gaussian-rational coefficients
+    return bivariate({(0, 1): 1, (1, 0): (Fraction(1, 2), Fraction(1, 3)),
+                      (2, 0): (0, -1), (2, 1): (Fraction(-3, 4), 2),
+                      (1, 2): (1, Fraction(1, 5))}, x_order=2, y_order=2)
+
+
 @pytest.fixture
 def field_files(tmp_path, euler_bivariate, quadratic_field, cubic_field):
     files = {}
     for name, A in (("euler", euler_bivariate),
                     ("quadratic", quadratic_field.to_bivariate()),
-                    ("cubic", cubic_field.to_bivariate())):
+                    ("cubic", cubic_field.to_bivariate()),
+                    ("gaussian", gaussian_bivariate())):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(mc.field_to_json(A)))
         files[name] = str(path)
@@ -204,10 +270,30 @@ def table_digests(directory) -> dict:
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("field", ["euler", "quadratic", "cubic"])
+@pytest.mark.parametrize("field", ["euler", "quadratic", "cubic",
+                                   "gaussian"])
 def test_tables_match_golden_digests(field, command, field_files, tmp_path):
     out = tmp_path / "out"
     argv = [*COMMANDS[command], "--field", field_files[field],
             "--output-dir", str(out), "--cache", str(tmp_path / "c.json")]
     assert main(argv) == 0
     assert table_digests(out) == GOLDEN[f"{field}/{command}"]
+
+
+# SHA-256 of the cache file that `normalize-json` writes.
+CACHE_GOLDEN = {
+    "cubic":
+        "a8b36363f64491ab36d5ac60a00f25253b934640e572df483eb74d01f44cf4a4",
+    "gaussian":
+        "3a7e21b652d25432cfb23715eb73ec32735cb8275a06c990c77ae90b4a926dab",
+}
+
+
+@pytest.mark.parametrize("field", sorted(CACHE_GOLDEN))
+def test_cache_file_matches_golden_digest(field, field_files, tmp_path):
+    cache = tmp_path / "c.json"
+    argv = [*COMMANDS["normalize-json"], "--field", field_files[field],
+            "--output-dir", str(tmp_path / "out"), "--cache", str(cache)]
+    assert main(argv) == 0
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == \
+        CACHE_GOLDEN[field]
