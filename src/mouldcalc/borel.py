@@ -9,76 +9,90 @@ word recursion, and phi^_n is its component sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .errors import ConstantTermError
 from .moulds import Mould
 from .normalisation import component_sum
 from .saddlenode import SaddleNodeField
 from .scalars import ZERO
-from .series import TruncatedSeries, to_z_coeffs
+from .series import TruncatedSeries, cauchy, to_z_coeffs
 from .words import check_word, weight
 
 
 def borel(f: TruncatedSeries) -> TruncatedSeries:
     """sum c_{n+1} w^{n+1} (w = 1/z) maps to sum c_{n+1} zeta^n / n!.
-    The w-series must have zero constant term."""
-    if f.coeffs[0]:
+    The w-series must have zero constant term.  Over the denominator
+    D (K-1)!, K = order(f), the numerators are F_{n+1} (K-1)!/n!."""
+    if f.valuation() == 0:
         raise ConstantTermError(
             "w-series with nonzero constant term has no Borel transform")
-    if f.order == 0:
+    K = f.order
+    if K == 0:
         raise ValueError("w-series of order 0 carries no coefficients")
-    out = []
-    for n in range(f.order):
-        out.append(f.coeffs[n + 1] * Fraction(1, factorial(n)))
-    return TruncatedSeries(out, f.order - 1)
+    ratios = [1] * K  # (K-1)!/n!
+    for n in range(K - 1, 0, -1):
+        ratios[n - 1] = ratios[n] * n
+    return f.with_numerators(
+        lambda cs: [c * r for c, r in zip(cs[1:], ratios)],
+        K - 1, f.den * ratios[0])
 
 
 def conv(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Convolution int_0^zeta f(t) g(zeta - t) dt, truncated.
 
     On basis elements: conv(zeta^i/i!, zeta^j/j!) = zeta^{i+j+1}/(i+j+1)!.
-    Exact to min(order f, order g) + 1.
+    Exact to min(order f, order g) + 1.  Over the denominator
+    D_f D_g k!, k = min(orders) + 1, the zeta^d numerator is k!/d! times
+    the Cauchy product of F_i i! and G_j j! at i + j = d - 1.
     """
-    k = min(f.order, g.order) + 1
-    out = [ZERO] * (k + 1)
-    for i in range(min(f.order, k - 1) + 1):
-        a = f.coeffs[i]
-        if not a:
-            continue
-        fi = factorial(i)
-        for j in range(min(g.order, k - 1 - i) + 1):
-            b = g.coeffs[j]
-            if not b:
-                continue
-            d = i + j + 1
-            out[d] = out[d] + a * b * Fraction(fi * factorial(j),
-                                               factorial(d))
-    return TruncatedSeries(out, k)
+    m = min(f.order, g.order)
+    fact = [1] * (m + 2)  # 0!..(m+1)!
+    for n in range(1, m + 2):
+        fact[n] = fact[n - 1] * n
+
+    def weighted(cs):
+        return cs and [c * w for c, w in zip(cs, fact)]
+
+    def lift(cs):
+        return cs and [0] + [c * (fact[m + 1] // fact[d])
+                             for d, c in enumerate(cs, 1)]
+
+    re, im = cauchy(weighted(f.re), weighted(f.im),
+                    weighted(g.re), weighted(g.im), m)
+    return TruncatedSeries.from_ints(m + 1, f.den * g.den * fact[m + 1],
+                                     lift(re), lift(im))
 
 
 def divide_by_zeta_minus(m: int, f: TruncatedSeries) -> TruncatedSeries:
     """Multiply f by 1/(zeta - m).
 
     For m != 0 this is the recurrence g_d = (g_{d-1} - f_d)/m, g_{-1} = 0,
-    at the order of f; for m = 0 the coefficients shift down one
+    at the order of f: with f_d = F_d/D the numerators over D m^(d+1) are
+    G_d = G_{d-1} - F_d m^d.  For m = 0 the coefficients shift down one
     degree, which requires a vanishing constant term.
     """
+    K = f.order
     if m == 0:
-        if f.coeffs[0]:
+        if f.valuation() == 0:
             raise ConstantTermError(
                 "1/zeta of a series with nonzero constant term is not a "
                 "Taylor series at 0")
-        if f.order == 0:
+        if K == 0:
             raise ValueError("order 0 leaves nothing after the shift")
-        return TruncatedSeries(f.coeffs[1:], f.order - 1)
-    inv_m = Fraction(1, m)
-    g = ZERO
-    out = []
-    for c in f.coeffs:
-        g = (g - c) * inv_m
-        out.append(g)
-    return TruncatedSeries(out, f.order)
+        return f.with_numerators(lambda cs: cs[1:], K - 1, f.den)
+    powers = [1] * (K + 2)  # m^0..m^(K+1)
+    for d in range(1, K + 2):
+        powers[d] = powers[d - 1] * m
+
+    def divide(cs):
+        out = []
+        acc = 0
+        for d, c in enumerate(cs):
+            acc -= c * powers[d]
+            out.append(acc * powers[K - d])
+        return out
+
+    return f.with_numerators(divide, K, f.den * powers[K + 1])
 
 
 def borel_letter(field: SaddleNodeField, n: int,
@@ -119,15 +133,18 @@ def borel_V(field: SaddleNodeField, w, zeta_order: int) -> TruncatedSeries:
     return borel_mould(field, zeta_order).value(w)
 
 
-def borel_phi_n(field: SaddleNodeField, n: int,
-                zeta_order: int) -> TruncatedSeries:
-    """phi^_n = sum beta(w) V^^w over words of weight n - 1.
+def borel_phi_n(field: SaddleNodeField, n: int, zeta_order: int,
+                mould: Mould = None) -> TruncatedSeries:
+    """phi^_n = sum beta(w) V^^w over words of weight n - 1, from the
+    given borel_mould(field, zeta_order) or a new one; components that
+    share a mould share its suffixes.
 
     The contributing-word bound is taken at x-order zeta_order + 1 (the
     Borel transform consumes one z-power).
     """
-    return component_sum(field, n, zeta_order + 1,
-                         borel_mould(field, zeta_order), reverse=False)[0]
+    if mould is None:
+        mould = borel_mould(field, zeta_order)
+    return component_sum(field, n, zeta_order + 1, mould, reverse=False)[0]
 
 
 def eval_partial_sum(f: TruncatedSeries, zeta: Fraction):
@@ -142,14 +159,15 @@ def eval_partial_sum(f: TruncatedSeries, zeta: Fraction):
     zeta = Fraction(zeta)
     value = ZERO
     p = Fraction(1)
-    for c in f.coeffs:
+    coeffs = f.coeffs
+    for c in coeffs:
         value = value + c * p
         p = p * zeta
     q = abs(zeta)
     if q >= 1:
         return value, None
     # observed growth ratio of coefficient magnitudes
-    mags = [c.abs_bound() for c in f.coeffs]
+    mags = [c.abs_bound() for c in coeffs]
     ratio = Fraction(0)
     for a, b in zip(mags, mags[1:]):
         if a:

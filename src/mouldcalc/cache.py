@@ -18,7 +18,6 @@ import tempfile
 from .errors import CacheError
 from .moulds import Mould
 from .saddlenode import BivariateSeries, field_to_json
-from .scalars import CQ
 from .series import TruncatedSeries
 from .words import word_key
 
@@ -61,8 +60,8 @@ def save_mould_cache(path, mould: Mould, fhash: str) -> None:
 
             write(json.dumps(header, sort_keys=True) + "\n")
             for w in sorted(mould.known_words(), key=word_key):
-                entry = {"word": list(w), "coeffs": [
-                    c.to_quad() for c in mould._memo[w].coeffs]}
+                entry = {"word": list(w),
+                         "coeffs": mould._memo[w].quads()}
                 write(json.dumps(entry, sort_keys=True,
                                  separators=(",", ":")) + "\n")
             fh.write(json.dumps({"sha256": digest.hexdigest()}) + "\n")
@@ -75,8 +74,10 @@ def save_mould_cache(path, mould: Mould, fhash: str) -> None:
 def load_mould_cache(path, fhash: str, x_order: int) -> dict:
     """Entries for Mould.preload, read line by line and truncated to
     x_order, which must be the header's; an entry's order is its
-    coefficient count minus 1.  Nothing is returned before the
-    trailer's digest matches.  Raises CacheError on any mismatch or
+    coefficient count minus 1.  Each coefficient quad is read straight
+    into integer numerators, and must hold four JSON integers with
+    positive denominators.  Nothing is returned before the trailer's
+    digest matches.  Raises CacheError on any mismatch or
     malformation."""
     digest = hashlib.sha256()
     try:
@@ -102,12 +103,12 @@ def load_mould_cache(path, fhash: str, x_order: int) -> dict:
                                          "digest check")
                     return entries
                 digest.update(line.encode("utf-8"))
-                word = tuple(int(n) for n in e["word"])
-                coeffs = [CQ.from_quad(q) for q in e["coeffs"]]
-                if len(coeffs) - 1 < x_order:
+                word = tuple(map(int, e["word"]))
+                quads = e["coeffs"]
+                if len(quads) - 1 < x_order:
                     raise CacheError(f"cache entry {list(word)} has order "
-                                     f"{len(coeffs) - 1} < {x_order}")
-                entries[word] = TruncatedSeries(coeffs, x_order)
+                                     f"{len(quads) - 1} < {x_order}")
+                entries[word] = TruncatedSeries.from_quads(quads, x_order)
             raise CacheError(f"cache file {path} has no digest trailer")
     except CacheError:
         raise

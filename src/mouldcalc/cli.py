@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cache as cachemod
-from .borel import borel_phi_n, eval_partial_sum
+from .borel import borel_mould, borel_phi_n, eval_partial_sum
 from .errors import CacheError, FieldValidationError, MouldCalcError
 from .moulds import (check_symmetral, mould_mul, residual_mould_equation,
                      solve_V, symmetral_inverse, unit_mould, j_a_mould,
@@ -225,8 +225,9 @@ def cmd_check(config: RunConfig) -> int:
 def cmd_borel(config: RunConfig) -> int:
     A, f = _load_validated(config)
     os.makedirs(config.output_dir, exist_ok=True)
+    mould = borel_mould(f, config.zeta_order)
     for n in range(config.n_max + 1):
-        poly = borel_phi_n(f, n, config.zeta_order)
+        poly = borel_phi_n(f, n, config.zeta_order, mould)
         doc = {"n": n, "zeta_order": config.zeta_order,
                "coeffs": [_coeff_str(c) for c in poly.coeffs]}
         evaluations = []

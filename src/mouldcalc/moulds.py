@@ -173,7 +173,7 @@ def solve_V(field: SaddleNodeField, x_order: int) -> Mould:
             # the padding x^{K+1} coefficient is never read; for a valid
             # field the right-hand side lies in x^2 C[[x]], and
             # solve_euler_shifted checks it
-            tail = TruncatedSeries(tail.coeffs, x_order + 1)
+            tail = tail.zero_pad(x_order + 1)
         b = ps_mul(field.letter_series(word[0], tail.order), tail)
         v = solve_euler_shifted(b, mu)
         val = v.valuation()

@@ -210,7 +210,7 @@ def oracle_phi(field: SaddleNodeField, n_max: int,
         # nothing at or below the working order
         if s.order >= order:
             return s.truncate(order)
-        return TruncatedSeries(list(s.coeffs), order)
+        return s.zero_pad(order)
 
     for _ in range(work + 2):
         rhs = rhs_components(comp)
@@ -243,9 +243,10 @@ def compose_check(phi: PhiSeries, psi: PhiSeries, x_order: int,
         if s is None or s.is_zero():
             continue
         coeffs = {}
+        sc = s.coeffs
         for (m, k), c in power.coeffs.items():
             for mm in range(1, min(s.order, x_order - m) + 1):
-                cc = s.coeffs[mm]
+                cc = sc[mm]
                 if cc:
                     key = (m + mm, k)
                     coeffs[key] = coeffs.get(key, ZERO) + c * cc

@@ -99,7 +99,7 @@ class SaddleNodeField:
     TruncatedSeries at any order.
     """
 
-    __slots__ = ("letters", "x_order", "y_order")
+    __slots__ = ("letters", "x_order", "y_order", "_series")
 
     def __init__(self, letters: dict):
         clean = {}
@@ -121,6 +121,9 @@ class SaddleNodeField:
             clean[n] = poly
             max_deg = max(max_deg, len(poly) - 1)
         object.__setattr__(self, "letters", clean)
+        # each letter converted once to the integer series form
+        object.__setattr__(self, "_series", {
+            n: TruncatedSeries(poly) for n, poly in clean.items()})
         object.__setattr__(self, "x_order", max_deg)
         # at least 1, so that to_bivariate keeps the linear term y
         object.__setattr__(
@@ -137,8 +140,12 @@ class SaddleNodeField:
     def letter_series(self, n: int, order: int) -> TruncatedSeries:
         """a_n as a TruncatedSeries at the requested order (exact,
         because the stored letters are polynomials)."""
-        poly = self.letters.get(n, ())
-        return TruncatedSeries(list(poly[: order + 1]), order)
+        s = self._series.get(n)
+        if s is None:
+            return TruncatedSeries.zero(order)
+        if order <= s.order:
+            return s.truncate(order)
+        return s.zero_pad(order)
 
     def to_bivariate(self, x_order=None, y_order=None) -> BivariateSeries:
         """Reassemble A = y + sum a_n y^{n+1}."""
@@ -188,8 +195,9 @@ class PhiSeries:
         for n, s in self.components.items():
             if n > y_order:
                 continue
+            sc = s.coeffs
             for m in range(1, min(s.order, x_order) + 1):
-                c = s.coeffs[m]
+                c = sc[m]
                 if c:
                     key = (m, n)
                     out[key] = out.get(key, ZERO) + c
@@ -289,13 +297,14 @@ def pde_residual(A: BivariateSeries, phi: PhiSeries,
     for n, s in phi.components.items():
         if n > y_order:
             continue
-        ds = euler_derivation(s)
+        dc = euler_derivation(s).coeffs
+        sc = s.coeffs
         for m in range(1, x_order + 1):
             c = ZERO
-            if m <= ds.order:
-                c = ds.coeffs[m]
-            if m <= s.order:
-                c = c + s.coeffs[m] * n
+            if m < len(dc):
+                c = dc[m]
+            if m < len(sc):
+                c = c + sc[m] * n
             if c:
                 key = (m, n)
                 out[key] = out.get(key, ZERO) + c

@@ -1,8 +1,12 @@
 """Exact complex-rational scalars.
 
-All coefficients in the library are Gaussian rationals: complex numbers
-whose real and imaginary parts are `fractions.Fraction`.  Arithmetic is
-exact and equality is canonical (Fraction keeps reduced form).
+All coefficients in the library are Gaussian rationals.  CQ holds one
+as a pair of `fractions.Fraction`; arithmetic is exact and equality is
+canonical (Fraction keeps reduced form).  CQ is the boundary type: it
+carries field coefficients in (SaddleNodeField, BivariateSeries) and
+single coefficients out (TruncatedSeries.coeffs, the tables).  Series
+arithmetic does not use it: a TruncatedSeries holds integer numerators
+over one shared denominator (see series.py).
 """
 
 from __future__ import annotations

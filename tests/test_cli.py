@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -10,9 +11,11 @@ from mouldcalc import cache as cachemod
 from mouldcalc import cli, moulds
 from mouldcalc.cli import main
 from mouldcalc.errors import CacheError
-from mouldcalc.scalars import CQ
 
 from conftest import bivariate
+
+# the package attribute mouldcalc.borel is the function of that name
+borelmod = importlib.import_module("mouldcalc.borel")
 
 
 @pytest.fixture
@@ -68,6 +71,15 @@ def tamper_euler_entry(cache):
     lines[i] = json.dumps(entry, sort_keys=True,
                           separators=(",", ":")) + "\n"
     cache.write_text("".join(lines))
+
+
+def rewrite_euler_quad(cache, k, quad):
+    """Set the x^k quad of the cached [-1] entry and recompute the
+    digest, so that only the quad itself can be rejected."""
+    docs = [json.loads(line) for line in cache.read_text().splitlines()]
+    entry = next(d for d in docs if d.get("word") == [-1])
+    entry["coeffs"][k] = quad
+    cache.write_text(with_digest(docs[:-1]))
 
 
 class TestNormalize:
@@ -148,6 +160,27 @@ class TestNormalize:
         assert code == 0
         doc = json.loads((out / "phi_0.json").read_text())
         assert doc["coeffs"][2] == {"re": "-1", "im": "0"}
+
+    @pytest.mark.parametrize("quad", [
+        [-1, 0, 0, 1],    # zero denominator
+        [-1, 1, 0, 0],    # zero imaginary denominator
+        [1, -1, 0, 1],    # negative denominator
+        [-1.5, 1, 0, 1],  # not a JSON integer
+        [-1, 1.0, 0, 1],  # not a JSON integer either
+    ])
+    def test_malformed_cache_quad_exit_3_then_rebuild(
+            self, euler_file, tmp_path, capsys, quad):
+        args = ["--field", euler_file, "--x-order", "4", "--n-max", "0"]
+        assert run(args, tmp_path)[0] == 0
+        rewrite_euler_quad(tmp_path / "cache.json", 1, quad)
+        code, out = run(args, tmp_path)
+        assert code == 3
+        assert "malformed cache file" in capsys.readouterr().err
+        code, _ = run(args, tmp_path, extra=["--rebuild-cache"])
+        assert code == 0
+        doc = json.loads((out / "phi_0.json").read_text())
+        assert doc["coeffs"][1] == {"re": "-1", "im": "0"}
+        assert run(args, tmp_path)[0] == 0
 
     def test_valuation_violation_exit_1(self, euler_file, tmp_path,
                                         monkeypatch, capsys):
@@ -308,6 +341,34 @@ class TestBorelCommand:
         doc = json.loads((out / "phihat_0.json").read_text())
         assert doc["evaluations"][0]["tail_bound"] is None
 
+    def test_one_mould_per_run(self, quadratic_field, tmp_path,
+                               monkeypatch):
+        """All components of one run share a single Borel mould, and
+        the tables equal those of one mould per component."""
+        path = tmp_path / "quadratic.json"
+        path.write_text(json.dumps(
+            mc.field_to_json(quadratic_field.to_bivariate())))
+        real, made = borelmod.borel_mould, []
+
+        def borel_mould(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(borelmod, "borel_mould", borel_mould)
+        monkeypatch.setattr(cli, "borel_mould", borel_mould,
+                            raising=False)
+        code, out = run(["--field", str(path), "--zeta-order", "4",
+                         "--n-max", "3", "--format", "csv"], tmp_path,
+                        sub="borel")
+        assert code == 0
+        assert len(made) == 1
+        for n in range(4):
+            alone = mc.borel_phi_n(quadratic_field, n, 4)
+            rows = (out / f"phihat_{n}.csv").read_text().splitlines()[1:]
+            assert rows == [f"{n},{k},{c.re},{c.im}"
+                            for k, c in enumerate(alone.coeffs)]
+        assert len(made) == 5
+
     def test_trivial_zero_files(self, trivial_file, tmp_path):
         code, out = run(["--field", trivial_file, "--n-max", "1"],
                         tmp_path, sub="borel")
@@ -419,14 +480,14 @@ class TestCacheModule:
         cachemod.save_mould_cache(path, mould, fhash)
         before = path.read_bytes()
         mould.value((-1, -1))
-        real, calls = CQ.to_quad, []
+        real, calls = mc.TruncatedSeries.quads, []
 
-        def to_quad(c):
+        def quads(s):
             # the first entry converts, the second one cannot be written
-            calls.append(c)
-            return real(c) if len(calls) <= 7 else object()
+            calls.append(s)
+            return real(s) if len(calls) <= 1 else [object()]
 
-        monkeypatch.setattr(CQ, "to_quad", to_quad)
+        monkeypatch.setattr(mc.TruncatedSeries, "quads", quads)
         with pytest.raises(TypeError):
             cachemod.save_mould_cache(path, mould, fhash)
         monkeypatch.undo()
