@@ -133,11 +133,6 @@ class CQ:
         return [self.re.numerator, self.re.denominator,
                 self.im.numerator, self.im.denominator]
 
-    @classmethod
-    def from_quad(cls, quad) -> "CQ":
-        rn, rd, in_, id_ = (int(v) for v in quad)
-        return cls(Fraction(rn, rd), Fraction(in_, id_))
-
 
 ZERO = CQ(0)
 ONE = CQ(1)

@@ -87,22 +87,15 @@ class TruncatedSeries:
     __slots__ = ("order", "den", "re", "im")
 
     def __init__(self, coeffs, order=None):
-        coeffs = [_cq(c) for c in coeffs]
+        quads = [_cq(c).to_quad() for c in coeffs]
         if order is None:
-            order = len(coeffs) - 1
+            order = len(quads) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = coeffs[: order + 1]
-        pad = [0] * (order + 1 - len(coeffs))
-        # the lcm of reduced denominators leaves gcd 1 with the numerators
-        den = lcm(*(c.re.denominator for c in coeffs),
-                  *(c.im.denominator for c in coeffs))
-        re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
-        im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
-        _set_order(self, order)
-        _set_den(self, den)
-        _set_re(self, tuple(re + pad))
-        _set_im(self, tuple(im + pad) if any(im) else None)
+        quads += [[0, 1, 0, 1]] * (order + 1 - len(quads))
+        s = self.from_quads(quads, order)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(s, name))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
