@@ -162,6 +162,8 @@ def cmd_check(config: RunConfig) -> int:
                         "detail": detail})
 
     words3 = [w for w in _iter_words(support, 4) if w]
+    pairs = [(w1, w2) for w1 in words3 for w2 in words3
+             if len(w1) + len(w2) <= 4]
 
     if "mould-eq" in config.suites:
         for w in words3:
@@ -169,22 +171,16 @@ def cmd_check(config: RunConfig) -> int:
             record("mould-eq", "x^2 d_x V + nabla V = J_a x V",
                    [list(w)], r.is_zero())
     if "symmetral" in config.suites:
-        for w1 in words3:
-            for w2 in words3:
-                if len(w1) + len(w2) > 4:
-                    continue
-                r = check_symmetral(mould, w1, w2)
-                record("symmetral", "shuffle identity",
-                       [list(w1), list(w2)], r.is_zero())
+        for w1, w2 in pairs:
+            r = check_symmetral(mould, w1, w2)
+            record("symmetral", "shuffle identity",
+                   [list(w1), list(w2)], r.is_zero())
     if "alternal" in config.suites:
         ja = j_a_mould(f, config.x_order)
-        for w1 in words3:
-            for w2 in words3:
-                if len(w1) + len(w2) > 4:
-                    continue
-                r = check_alternal(ja, w1, w2)
-                record("alternal", "vanishing shuffle sum (J_a)",
-                       [list(w1), list(w2)], r.is_zero())
+        for w1, w2 in pairs:
+            r = check_alternal(ja, w1, w2)
+            record("alternal", "vanishing shuffle sum (J_a)",
+                   [list(w1), list(w2)], r.is_zero())
     if "inverse" in config.suites:
         prod = mould_mul(mould, symmetral_inverse(mould))
         unit = unit_mould(config.x_order)

@@ -1,6 +1,8 @@
 """Assembly of the normalising series from the mould expansion, the
-comould action on y-polynomials, and two independent verification
-routes: the PDE oracle and the formal-integral residual.
+comould action on y-polynomials, and three verification routes
+independent of the moulds: the PDE oracle, the composition check and
+the formal-integral residual, each a substitution through
+saddlenode.y_compose.
 """
 
 from __future__ import annotations
@@ -9,15 +11,12 @@ from math import ceil
 
 from .errors import ComouldDomainError
 from .moulds import Mould, solve_V, symmetral_inverse
-from .saddlenode import BivariateSeries, PhiSeries, SaddleNodeField
-from .scalars import ONE, ZERO
+from .saddlenode import (BivariateSeries, PhiSeries, SaddleNodeField,
+                         YPolynomial, bivariate_from_y_poly, y_add,
+                         y_compose)
 from .series import (TruncatedSeries, euler_derivation, ps_mul,
                      solve_euler_shifted, to_z_coeffs)
 from .words import beta, contributing_words, weight, word_key
-
-# y-polynomials are maps y-exponent -> TruncatedSeries with finitely
-# many nonzero entries.
-YPolynomial = dict
 
 
 def y_monomial(k: int, x_order: int, series=None) -> YPolynomial:
@@ -60,9 +59,8 @@ def mould_expansion_apply(M: Mould, words, f: YPolynomial) -> YPolynomial:
         coeff = M.value(w)
         if coeff.is_zero():
             continue
-        for k, s in comould_apply(w, f).items():
-            term = ps_mul(coeff, s)
-            out[k] = out.get(k, TruncatedSeries.zero(term.order)) + term
+        out = y_add(out, {k: ps_mul(coeff, s)
+                          for k, s in comould_apply(w, f).items()})
     return {k: s for k, s in out.items() if not s.is_zero()}
 
 
@@ -173,50 +171,16 @@ def oracle_phi(field: SaddleNodeField, n_max: int,
     work = x_order + 2
     zero = TruncatedSeries.zero(work)
     comp = {n: zero for n in range(n_max + 1)}
-    support = field.support
-    letters = {m: field.letter_series(m, work) for m in support}
-
-    def rhs_components(cur):
-        # y^n coefficients of sum_m a_m(x) phi^{m+1},
-        # phi = y + sum_k cur[k] y^k, for n <= n_max
-        # powers of phi as maps y-exp -> series, y-exp truncated
-        phi_poly = {1: TruncatedSeries.one(work)}
-        for k, s in cur.items():
-            phi_poly[k] = phi_poly.get(k, zero) + s
-        max_pow = max((m + 1 for m in support), default=0)
-        powers = {0: {0: TruncatedSeries.one(work)}}
-        for j in range(1, max_pow + 1):
-            prev = powers[j - 1]
-            nxt: dict = {}
-            for k1, s1 in prev.items():
-                for k2, s2 in phi_poly.items():
-                    k = k1 + k2
-                    if k > n_max:
-                        continue
-                    term = ps_mul(s1, s2)
-                    nxt[k] = nxt.get(k, zero) + term
-            powers[j] = nxt
-        out = {n: zero for n in range(n_max + 1)}
-        for m in support:
-            a = letters[m]
-            for k, s in powers[m + 1].items():
-                if k <= n_max:
-                    out[k] = out[k] + ps_mul(a, s)
-        return out
-
-    def pad(s, order):
+    # C(phi) = sum_m a_m phi^{m+1} = sum_k outer[k] phi^k
+    outer = {m + 1: field.letter_series(m, work) for m in field.support}
+    for _ in range(work + 2):
+        phi = y_add({1: TruncatedSeries.one(work)}, comp)
+        rhs = y_compose(outer, phi, n_max, work)
         # intermediate iterates may be shorter after the mu = 0 solve;
         # zero-padding is harmless, the affected coefficients influence
         # nothing at or below the working order
-        if s.order >= order:
-            return s.truncate(order)
-        return s.zero_pad(order)
-
-    for _ in range(work + 2):
-        rhs = rhs_components(comp)
-        new = {}
-        for n in range(n_max + 1):
-            new[n] = pad(solve_euler_shifted(rhs[n], n - 1), work)
+        new = {n: solve_euler_shifted(rhs.get(n, zero), n - 1).at(work)
+               for n in range(n_max + 1)}
         if new == comp:
             break
         comp = new
@@ -232,26 +196,11 @@ def compose_check(phi: PhiSeries, psi: PhiSeries, x_order: int,
     series certifies mutual inversion there (provided both PhiSeries
     carry every component that can contribute, see
     components_needed)."""
-    psib = psi.to_bivariate(x_order, y_order)
-    out = psib  # the identity part Y of phi(x, Y)
-    max_n = max(phi.components, default=0)
-    power = BivariateSeries({(0, 0): ONE}, x_order, y_order)
-    for n in range(0, max_n + 1):
-        if n > 0:
-            power = power * psib
-        s = phi.components.get(n)
-        if s is None or s.is_zero():
-            continue
-        coeffs = {}
-        sc = s.coeffs
-        for (m, k), c in power.coeffs.items():
-            for mm in range(1, min(s.order, x_order - m) + 1):
-                cc = sc[mm]
-                if cc:
-                    key = (m + mm, k)
-                    coeffs[key] = coeffs.get(key, ZERO) + c * cc
-        out = out + BivariateSeries(coeffs, x_order, y_order)
-    return out - BivariateSeries({(0, 1): ONE}, x_order, y_order)
+    phi_of_psi = y_compose(phi.y_poly(x_order), psi.y_poly(x_order),
+                           y_order, x_order)
+    return bivariate_from_y_poly(
+        y_add(phi_of_psi, {1: -TruncatedSeries.one(x_order)}),
+        x_order, y_order)
 
 
 def formal_integral_residual(field: SaddleNodeField, phi: PhiSeries,
@@ -278,40 +227,18 @@ def formal_integral_residual(field: SaddleNodeField, phi: PhiSeries,
                 f"need components to x-order {work}, got {s.order}")
         return to_z_coeffs(s.truncate(work))
 
-    # Y as a polynomial in U with w-series coefficients
-    Y = {1: TruncatedSeries.one(work)}
-    for n in range(0, u_order + 1):
-        s = phi.components.get(n)
-        if s is not None and not s.is_zero():
-            Y[n] = Y.get(n, zero) + to_w(s)
-
-    def poly_mul(p, q):
-        out = {}
-        for i, a in p.items():
-            for j, b in q.items():
-                k = i + j
-                if k > u_order:
-                    continue
-                term = ps_mul(a, b)
-                out[k] = out.get(k, zero) + term
-        return out
+    # Y = U + sum phi~_n U^n and A(-1/z, Y) = Y + sum a~_m Y^{m+1},
+    # as polynomials in U with w-series coefficients
+    one = TruncatedSeries.one(work)
+    Y = y_add({1: one}, {n: to_w(s) for n, s in phi.components.items()
+                         if n <= u_order and not s.is_zero()})
+    A = y_add({1: one}, {m + 1: to_w(field.letter_series(m, work))
+                         for m in field.support})
 
     # dY/dz row by row: d/dz (phi~_n U^n) = (phi~_n' + n phi~_n) U^n
-    lhs = {}
-    for n, s in Y.items():
-        ds = -euler_derivation(s).truncate(work)  # d/dz in the w chart
-        lhs[n] = ds + s.scale(n)
-
-    # A(-1/z, Y) = Y + sum_m a~_m Y^{m+1}
-    rhs = dict(Y)
-    powers = {0: {0: TruncatedSeries.one(work)}}
-    max_pow = max((m + 1 for m in field.support), default=0)
-    for j in range(1, max_pow + 1):
-        powers[j] = poly_mul(powers[j - 1], Y)
-    for m in field.support:
-        am = to_w(field.letter_series(m, work))
-        for k, s in powers[m + 1].items():
-            rhs[k] = rhs.get(k, zero) + ps_mul(am, s)
+    lhs = {n: -euler_derivation(s).truncate(work) + s.scale(n)
+           for n, s in Y.items()}
+    rhs = y_compose(A, Y, u_order, work)
 
     residual = {}
     for n in range(0, u_order + 1):

@@ -1,4 +1,5 @@
-"""Prepared saddle-node fields A(x, y) and their homogeneous letters.
+"""Prepared saddle-node fields A(x, y), their homogeneous letters, and
+substitution of y-polynomials.
 
 The input is a bivariate polynomial representative of A with
 A(0, y) = y and vanishing x*y coefficient.  Its decomposition
@@ -6,6 +7,11 @@ A = y + sum a_n(x) y^{n+1} (n >= -1) yields the letters a_n used by
 the mould machinery.  Input polynomials are taken as exact: every
 coefficient not stored is exactly zero, so letters can be produced at
 any requested x-order.
+
+A y-polynomial maps y-exponents to TruncatedSeries in x.  y_compose,
+sum_k outer[k] inner^k, is the one substitution that every check of
+phi and psi makes; BivariateSeries only carries field files in and
+residuals out.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from fractions import Fraction
 
 from .errors import FieldValidationError
 from .scalars import CQ, ONE, ZERO
-from .series import TruncatedSeries, euler_derivation
+from .series import TruncatedSeries, euler_derivation, ps_mul
+
+YPolynomial = dict
 
 
 class BivariateSeries:
@@ -42,41 +50,6 @@ class BivariateSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        xo = min(self.x_order, other.x_order)
-        yo = min(self.y_order, other.y_order)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + c
-        return BivariateSeries(out, xo, yo)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BivariateSeries({k: -c for k, c in self.coeffs.items()},
-                               self.x_order, self.y_order)
-
-    def __mul__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        xo = min(self.x_order, other.x_order)
-        yo = min(self.y_order, other.y_order)
-        out = {}
-        for (m1, n1), c1 in self.coeffs.items():
-            for (m2, n2), c2 in other.coeffs.items():
-                m, n = m1 + m2, n1 + n2
-                if m <= xo and n <= yo:
-                    key = (m, n)
-                    out[key] = out.get(key, ZERO) + c1 * c2
-        return BivariateSeries(out, xo, yo)
-
-    def truncate(self, x_order: int, y_order: int) -> "BivariateSeries":
-        return BivariateSeries(self.coeffs, min(self.x_order, x_order),
-                               min(self.y_order, y_order))
 
     def __eq__(self, other):
         if not isinstance(other, BivariateSeries):
@@ -141,11 +114,7 @@ class SaddleNodeField:
         """a_n as a TruncatedSeries at the requested order (exact,
         because the stored letters are polynomials)."""
         s = self._series.get(n)
-        if s is None:
-            return TruncatedSeries.zero(order)
-        if order <= s.order:
-            return s.truncate(order)
-        return s.zero_pad(order)
+        return TruncatedSeries.zero(order) if s is None else s.at(order)
 
     def to_bivariate(self, x_order=None, y_order=None) -> BivariateSeries:
         """Reassemble A = y + sum a_n y^{n+1}."""
@@ -153,13 +122,10 @@ class SaddleNodeField:
             x_order = self.x_order
         if y_order is None:
             y_order = self.y_order
-        out = {(0, 1): ONE}
-        for n, poly in self.letters.items():
-            for m, c in enumerate(poly):
-                if c and m <= x_order and n + 1 <= y_order:
-                    key = (m, n + 1)
-                    out[key] = out.get(key, ZERO) + c
-        return BivariateSeries(out, x_order, y_order)
+        return bivariate_from_y_poly(
+            y_add({1: TruncatedSeries.one(x_order)},
+                  {n + 1: self.letter_series(n, x_order)
+                   for n in self.letters}), x_order, y_order)
 
     def __repr__(self):
         return f"<SaddleNodeField support={self.support}>"
@@ -189,23 +155,73 @@ class PhiSeries:
     def component(self, n: int) -> TruncatedSeries:
         return self.components.get(n, TruncatedSeries.zero(self.x_order))
 
+    def y_poly(self, x_order: int) -> YPolynomial:
+        """phi(x, y) = y + sum phi_n(x) y^n, every coefficient at
+        x_order."""
+        return y_add({1: TruncatedSeries.one(x_order)},
+                     {n: s.at(x_order) for n, s in self.components.items()})
+
     def to_bivariate(self, x_order: int, y_order: int) -> BivariateSeries:
         """phi(x, y) = y + sum phi_n(x) y^n as a bivariate series."""
-        out = {(0, 1): ONE}
-        for n, s in self.components.items():
-            if n > y_order:
-                continue
-            sc = s.coeffs
-            for m in range(1, min(s.order, x_order) + 1):
-                c = sc[m]
-                if c:
-                    key = (m, n)
-                    out[key] = out.get(key, ZERO) + c
-        return BivariateSeries(out, x_order, y_order)
+        return bivariate_from_y_poly(self.y_poly(x_order), x_order, y_order)
 
     def __repr__(self):
         ns = sorted(self.components)
         return f"<PhiSeries components={ns} x_order={self.x_order}>"
+
+
+# -- y-polynomials --------------------------------------------------------
+
+def y_add(p: YPolynomial, q: YPolynomial) -> YPolynomial:
+    """p + q."""
+    out = dict(p)
+    for k, s in q.items():
+        out[k] = out[k] + s if k in out else s
+    return out
+
+
+def y_mul(p: YPolynomial, q: YPolynomial, y_order: int) -> YPolynomial:
+    """p q without the y-exponents above y_order."""
+    out: YPolynomial = {}
+    for i, a in p.items():
+        out = y_add(out, {i + j: ps_mul(a, b) for j, b in q.items()
+                          if i + j <= y_order})
+    return out
+
+
+def y_compose(outer: YPolynomial, inner: YPolynomial, y_order: int,
+              order: int) -> YPolynomial:
+    """sum_k outer[k] inner^k (k >= 0) without the y-exponents above
+    y_order, inner^0 being 1 at x-order `order`.
+
+    The powers of inner are truncated as they are built: exponents
+    never fall under multiplication, so what is dropped cannot return.
+    """
+    out: YPolynomial = {}
+    power = {0: TruncatedSeries.one(order)}
+    for k in range(max(outer, default=0) + 1):
+        if k:
+            power = y_mul(power, inner, y_order)
+        if k in outer:
+            out = y_add(out, y_mul({0: outer[k]}, power, y_order))
+    return out
+
+
+def _y_poly_of(A: BivariateSeries, x_order: int) -> YPolynomial:
+    """A as a y-polynomial, every coefficient at x_order."""
+    rows: dict = {}
+    for (m, n), c in A.coeffs.items():
+        if m <= x_order:
+            rows.setdefault(n, [ZERO] * (x_order + 1))[m] = c
+    return {n: TruncatedSeries(row, x_order) for n, row in rows.items()}
+
+
+def bivariate_from_y_poly(p: YPolynomial, x_order: int,
+                          y_order: int) -> BivariateSeries:
+    """The y-polynomial p in the box x <= x_order, y <= y_order."""
+    return BivariateSeries({(m, n): c for n, s in p.items()
+                            for m, c in enumerate(s.coeffs)},
+                           x_order, y_order)
 
 
 def extract_letters(A: BivariateSeries, repair: bool = False) -> SaddleNodeField:
@@ -262,22 +278,9 @@ def substitute_phi(A: BivariateSeries, phi: PhiSeries,
         x_order = min(A.x_order, phi.x_order)
     if y_order is None:
         y_order = A.y_order
-    phib = phi.to_bivariate(x_order, y_order)
-    # powers of phi(x, y) up to the y-degree of A
-    powers = {0: BivariateSeries({(0, 0): ONE}, x_order, y_order)}
-    max_pow = max((n for (_, n) in A.coeffs), default=0)
-    for j in range(1, max_pow + 1):
-        powers[j] = powers[j - 1] * phib
-    out = BivariateSeries({}, x_order, y_order)
-    for (m, n), c in A.coeffs.items():
-        if m > x_order:
-            continue
-        term = BivariateSeries(
-            {(m + mm, nn): c * cc for (mm, nn), cc in powers[n].coeffs.items()
-             if m + mm <= x_order},
-            x_order, y_order)
-        out = out + term
-    return out
+    return bivariate_from_y_poly(
+        y_compose(_y_poly_of(A, x_order), phi.y_poly(x_order), y_order,
+                  x_order), x_order, y_order)
 
 
 def pde_residual(A: BivariateSeries, phi: PhiSeries,
@@ -291,25 +294,12 @@ def pde_residual(A: BivariateSeries, phi: PhiSeries,
         x_order = min(A.x_order, phi.x_order)
     if y_order is None:
         y_order = A.y_order
-    out: dict = {}
-    # y d_y phi = y + sum n phi_n y^n
-    out[(0, 1)] = ONE
-    for n, s in phi.components.items():
-        if n > y_order:
-            continue
-        dc = euler_derivation(s).coeffs
-        sc = s.coeffs
-        for m in range(1, x_order + 1):
-            c = ZERO
-            if m < len(dc):
-                c = dc[m]
-            if m < len(sc):
-                c = c + sc[m] * n
-            if c:
-                key = (m, n)
-                out[key] = out.get(key, ZERO) + c
-    lhs = BivariateSeries(out, x_order, y_order)
-    return lhs - substitute_phi(A, phi, x_order, y_order)
+    p = phi.y_poly(x_order)
+    lhs = {n: euler_derivation(s).truncate(x_order) + s.scale(n)
+           for n, s in p.items()}
+    rhs = y_compose(_y_poly_of(A, x_order), p, y_order, x_order)
+    return bivariate_from_y_poly(
+        y_add(lhs, {n: -s for n, s in rhs.items()}), x_order, y_order)
 
 
 # -- JSON field files ---------------------------------------------------
@@ -326,16 +316,30 @@ def field_to_json(A: BivariateSeries) -> dict:
             "monomials": monomials}
 
 
+def _int(v) -> int:
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
+def _ratio(pair) -> Fraction:
+    num, den = pair
+    return Fraction(_int(num), _int(den))
+
+
 def field_from_json(obj) -> BivariateSeries:
+    """The field of a field file.  Raises ValueError unless every
+    order, exponent, numerator and denominator is a JSON integer and
+    every monomial lies in the declared box."""
     try:
-        x_order = int(obj["x_order"])
-        y_order = int(obj["y_order"])
+        x_order, y_order = _int(obj["x_order"]), _int(obj["y_order"])
         coeffs = {}
         for mono in obj["monomials"]:
-            m, n = int(mono["m"]), int(mono["n"])
-            re = Fraction(int(mono["re"][0]), int(mono["re"][1]))
-            im = Fraction(int(mono["im"][0]), int(mono["im"][1]))
-            c = CQ(re, im)
+            m, n = _int(mono["m"]), _int(mono["n"])
+            if not (0 <= m <= x_order and 0 <= n <= y_order):
+                raise ValueError(f"monomial x^{m} y^{n} outside the box "
+                                 f"({x_order}, {y_order})")
+            c = CQ(_ratio(mono["re"]), _ratio(mono["im"]))
             if c:
                 coeffs[(m, n)] = coeffs.get((m, n), ZERO) + c
     except (KeyError, TypeError, IndexError, ValueError,

@@ -2,11 +2,12 @@
 
 All coefficients in the library are Gaussian rationals.  CQ holds one
 as a pair of `fractions.Fraction`; arithmetic is exact and equality is
-canonical (Fraction keeps reduced form).  CQ is the boundary type: it
-carries field coefficients in (SaddleNodeField, BivariateSeries) and
-single coefficients out (TruncatedSeries.coeffs, the tables).  Series
-arithmetic does not use it: a TruncatedSeries holds integer numerators
-over one shared denominator (see series.py).
+canonical (Fraction keeps reduced form).  CQ is the boundary type for
+coefficients in (field files, field letters) and out (the tables,
+TruncatedSeries.coeffs, BivariateSeries residuals).  Series arithmetic
+and substitution work on integer numerators over one shared denominator
+(series.py, saddlenode.py), except TruncatedSeries.invert,
+eval_partial_sum and a non-real mu in solve_euler_shifted.
 """
 
 from __future__ import annotations

@@ -212,6 +212,13 @@ class TruncatedSeries:
         pad = (0,) * (order - self.order)
         return self.with_numerators(lambda cs: cs + pad, order, self.den)
 
+    def at(self, order: int) -> "TruncatedSeries":
+        """The series at `order`: truncated, or zero-padded above its
+        own order (for a series known to vanish there)."""
+        if order <= self.order:
+            return self.truncate(order)
+        return self.zero_pad(order)
+
     def _add(self, other, sign):
         k = min(self.order, other.order) + 1
         d1, d2 = self.den, other.den

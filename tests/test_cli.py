@@ -123,6 +123,32 @@ class TestNormalize:
         code, _ = run(["--field", str(path)], tmp_path)
         assert code == 3
 
+    Y = {"m": 0, "n": 1, "re": [1, 1], "im": [0, 1]}
+    X = {"m": 1, "n": 0, "re": [1, 1], "im": [0, 1]}
+
+    @pytest.mark.parametrize("patch", [
+        {"x_order": 1.9},
+        {"y_order": True},
+        {"monomials": [Y, {**X, "re": [1.5, 2]}]},
+        {"monomials": [Y, {**X, "re": ["1", True]}]},
+        {"monomials": [Y, {**X, "re": [1, 2, 3]}]},
+        {"monomials": [Y, {**X, "im": [0.0, 1]}]},
+        {"monomials": [Y, {**X, "m": 1.2}]},
+        {"monomials": [Y, X, {**X, "m": 3}]},
+        {"monomials": [Y, X, {**X, "n": 2}]},
+    ], ids=["x_order-float", "y_order-bool", "re-float", "re-str-bool",
+            "re-three", "im-float", "m-float", "m-outside-box",
+            "n-outside-box"])
+    def test_malformed_field_number_exit_3(self, patch, tmp_path, capsys):
+        # the Euler field A = x + y in a box (1, 1), with one entry changed
+        doc = {"x_order": 1, "y_order": 1,
+               "monomials": [self.Y, self.X], **patch}
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run(["--field", str(path)], tmp_path)
+        assert code == 3
+        assert "cannot read field file" in capsys.readouterr().err
+
     def test_missing_file_exit_3(self, tmp_path):
         code, _ = run(["--field", str(tmp_path / "nope.json")], tmp_path)
         assert code == 3
