@@ -3,7 +3,8 @@ zeta, the convolution product, division by (zeta - m), and the Borel
 transforms of the solver values and normalising components.  Both
 sides are TruncatedSeries, in the w and zeta charts.
 V^^ is one memoised Mould at one zeta-order, built by the solver's own
-word recursion, and phi^_n is its component sum.
+word recursion, and phi^_0..phi^_n are its component sums from one
+sweep over the words.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from .errors import ConstantTermError
 from .moulds import Mould
-from .normalisation import component_sum
+from .normalisation import component_sums
 from .saddlenode import SaddleNodeField
 from .scalars import ZERO
 from .series import TruncatedSeries, cauchy, to_z_coeffs
@@ -133,18 +134,26 @@ def borel_V(field: SaddleNodeField, w, zeta_order: int) -> TruncatedSeries:
     return borel_mould(field, zeta_order).value(w)
 
 
-def borel_phi_n(field: SaddleNodeField, n: int, zeta_order: int,
-                mould: Mould = None) -> TruncatedSeries:
-    """phi^_n = sum beta(w) V^^w over words of weight n - 1, from the
-    given borel_mould(field, zeta_order) or a new one; components that
-    share a mould share its suffixes.
+def borel_components(field: SaddleNodeField, ns: range, zeta_order: int,
+                     mould: Mould = None) -> dict:
+    """{n: phi^_n} for each n in ns, phi^_n = sum beta(w) V^^w over words
+    of weight n - 1, from one sweep over the words and the given
+    borel_mould(field, zeta_order) or a new one, so the components
+    share its suffixes.
 
     The contributing-word bound is taken at x-order zeta_order + 1 (the
     Borel transform consumes one z-power).
     """
     if mould is None:
         mould = borel_mould(field, zeta_order)
-    return component_sum(field, n, zeta_order + 1, mould, reverse=False)[0]
+    sums = component_sums(field, ns, zeta_order + 1, mould)
+    return {n: s[0] for n, s in sums.items()}
+
+
+def borel_phi_n(field: SaddleNodeField, n: int, zeta_order: int,
+                mould: Mould = None) -> TruncatedSeries:
+    """phi^_n alone (see borel_components)."""
+    return borel_components(field, range(n, n + 1), zeta_order, mould)[n]
 
 
 def eval_partial_sum(f: TruncatedSeries, zeta: Fraction):

@@ -14,6 +14,8 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import repeat
+from math import gcd
 
 from .errors import CacheError
 from .moulds import Mould
@@ -42,6 +44,23 @@ def cache_path(A: BivariateSeries, x_order: int, directory=None) -> str:
                         f"{field_hash(A)[:16]}-x{x_order}.json")
 
 
+def _entry_line(word, series: TruncatedSeries) -> str:
+    """The cache line of one memo entry: the bytes of
+    json.dumps({"word": list(word), "coeffs": series.quads()},
+    sort_keys=True, separators=(",", ":")) and a newline, formatted
+    straight from the integer numerators."""
+    den, re, im = series.den, series.re, series.im
+    if im is None:  # every imaginary part is 0/1
+        quads = [f"[{r // g},{den // g},0,1]"
+                 for r, g in zip(re, map(gcd, re, repeat(den)))]
+    else:
+        quads = [f"[{r // g},{den // g},{i // h},{den // h}]"
+                 for r, i, g, h in zip(re, im, map(gcd, re, repeat(den)),
+                                       map(gcd, im, repeat(den)))]
+    return (f'{{"coeffs":[{",".join(quads)}],'
+            f'"word":[{",".join(map(str, word))}]}}\n')
+
+
 def save_mould_cache(path, mould: Mould, fhash: str) -> None:
     """Stream the mould's memo table, words in canonical order, to a
     temporary file that then replaces `path`: a failed write leaves the
@@ -60,10 +79,7 @@ def save_mould_cache(path, mould: Mould, fhash: str) -> None:
 
             write(json.dumps(header, sort_keys=True) + "\n")
             for w in sorted(mould.known_words(), key=word_key):
-                entry = {"word": list(w),
-                         "coeffs": mould._memo[w].quads()}
-                write(json.dumps(entry, sort_keys=True,
-                                 separators=(",", ":")) + "\n")
+                write(_entry_line(w, mould._memo[w]))
             fh.write(json.dumps({"sha256": digest.hexdigest()}) + "\n")
         os.replace(tmp, path)
     except BaseException:

@@ -8,6 +8,7 @@ Subcommands: normalize, check, borel, cache.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cache as cachemod
-from .borel import borel_mould, borel_phi_n, eval_partial_sum
+from .borel import borel_components, borel_mould, eval_partial_sum
 from .errors import CacheError, FieldValidationError, MouldCalcError
 from .moulds import (check_symmetral, mould_mul, residual_mould_equation,
                      solve_V, symmetral_inverse, unit_mould, j_a_mould,
                      check_alternal)
-from .normalisation import oracle_phi, phi_component, psi_component
+from .normalisation import component_sums, oracle_phi
 from .saddlenode import extract_letters, load_field_file
 from .words import word_key
 
@@ -56,10 +57,50 @@ def _coeff_str(c) -> dict:
     return {"re": str(c.re), "im": str(c.im)}
 
 
-def _write_json(path, doc):
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, depth: int) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=1) renders it
+    `depth` levels deep, with the C string escaper instead of the
+    pure-Python encoder that indenting selects."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        items = [_encode_str(k) + ": " + _json_text(v, depth + 1)
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, depth + 1) for v in value]
+        brackets = "[]"
+    else:  # None, bools and floats; a TypeError for anything else
+        return json.dumps(value)
+    if not items:
+        return brackets
+    inner = "\n" + " " * (depth + 1)
+    return (brackets[0] + inner + ("," + inner).join(items) + "\n"
+            + " " * depth + brackets[1])
+
+
+def _write_json(path, doc: dict):
+    """The bytes of json.dump(doc, fh, sort_keys=True, indent=1) and a
+    newline, written one top-level key and one list item at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        opening = "{\n "
+        for key, value in sorted(doc.items()):
+            fh.write(opening + _encode_str(key) + ": ")
+            opening = ",\n "
+            if isinstance(value, list) and value:
+                item_opening = "[\n  "
+                for item in value:
+                    fh.write(item_opening + _json_text(item, 2))
+                    item_opening = ",\n  "
+                fh.write("\n ]")
+            else:
+                fh.write(_json_text(value, 1))
+        fh.write("\n}\n" if doc else "{}\n")
 
 
 def _write_component_csv(path, n, series):
@@ -116,9 +157,12 @@ def cmd_normalize(config: RunConfig) -> int:
     A, f = _load_validated(config)
     mould, _, _, save_cache = _solver_with_cache(config, A, f)
     os.makedirs(config.output_dir, exist_ok=True)
-    for kind, component in (("phi", phi_component), ("psi", psi_component)):
+    # phi_n and psi_n from one sweep: psi's words are phi's reversed
+    sums = component_sums(f, range(config.n_max + 1), config.x_order,
+                          mould, psi=True)
+    for i, kind in enumerate(("phi", "psi")):
         for n in range(config.n_max + 1):
-            series, count = component(f, n, config.x_order, mould)
+            series, count = sums[n][i], sums[n][2]
             if count > config.word_warn:
                 print(f"warning: {kind}_{n} summed over {count} words "
                       f"(threshold {config.word_warn})", file=sys.stderr)
@@ -196,9 +240,10 @@ def cmd_check(config: RunConfig) -> int:
             record("valuation", "val(V^w) >= ceil(r/2)", [list(w)], ok)
     if "oracle" in config.suites:
         oracle = oracle_phi(f, config.n_max, config.x_order)
+        sums = component_sums(f, range(config.n_max + 1), config.x_order,
+                              mould)
         for n in range(config.n_max + 1):
-            series, _ = phi_component(f, n, config.x_order, mould)
-            ok = series == oracle.component(n)
+            ok = sums[n][0] == oracle.component(n)
             record("oracle", "mould expansion equals PDE solution",
                    [n], ok)
 
@@ -222,8 +267,9 @@ def cmd_borel(config: RunConfig) -> int:
     A, f = _load_validated(config)
     os.makedirs(config.output_dir, exist_ok=True)
     mould = borel_mould(f, config.zeta_order)
-    for n in range(config.n_max + 1):
-        poly = borel_phi_n(f, n, config.zeta_order, mould)
+    polys = borel_components(f, range(config.n_max + 1), config.zeta_order,
+                             mould)
+    for n, poly in polys.items():
         doc = {"n": n, "zeta_order": config.zeta_order,
                "coeffs": [_coeff_str(c) for c in poly.coeffs]}
         evaluations = []
@@ -345,8 +391,15 @@ def config_from_args(args) -> RunConfig:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state in it, so
+    in-process callers need not build it per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "cache":
         return cmd_cache(args)
     try:

@@ -160,32 +160,36 @@ def solve_V(field: SaddleNodeField, x_order: int) -> Mould:
     """
     mould = Mould(x_order, None, tag="solver")
     memo = mould._memo
-
-    def compute(word):
-        if not word:
-            return TruncatedSeries.one(x_order)
-        v = memo.get(word)
-        if v is not None:
-            return v
-        mu = weight(word)
-        tail = compute(word[1:])
-        if mu == 0:
-            # the padding x^{K+1} coefficient is never read; for a valid
-            # field the right-hand side lies in x^2 C[[x]], and
-            # solve_euler_shifted checks it
-            tail = tail.zero_pad(x_order + 1)
-        b = ps_mul(field.letter_series(word[0], tail.order), tail)
-        v = solve_euler_shifted(b, mu)
-        val = v.valuation()
-        bound = ceil(len(word) / 2)
-        if val is not None and val < bound:
-            raise AssertionError(
-                f"valuation bound violated on {word}: {val} < {bound}")
-        memo[word] = v
-        return v
-
-    mould._fn = lambda w: compute(check_word(w))
+    mould._fn = lambda w: _solve(field, x_order, memo, check_word(w))
     return mould
+
+
+def _solve(field: SaddleNodeField, x_order: int, memo: dict, word):
+    """The solver value on word, memoised with its suffixes in memo.  A
+    module function, not a closure that calls itself: such a closure is
+    a reference cycle, and would keep a finished job's memo alive until
+    the cycle collector runs."""
+    if not word:
+        return TruncatedSeries.one(x_order)
+    v = memo.get(word)
+    if v is not None:
+        return v
+    mu = weight(word)
+    tail = _solve(field, x_order, memo, word[1:])
+    if mu == 0:
+        # the padding x^{K+1} coefficient is never read; for a valid
+        # field the right-hand side lies in x^2 C[[x]], and
+        # solve_euler_shifted checks it
+        tail = tail.zero_pad(x_order + 1)
+    b = ps_mul(field.letter_series(word[0], tail.order), tail)
+    v = solve_euler_shifted(b, mu)
+    val = v.valuation()
+    bound = ceil(len(word) / 2)
+    if val is not None and val < bound:
+        raise AssertionError(
+            f"valuation bound violated on {word}: {val} < {bound}")
+    memo[word] = v
+    return v
 
 
 def check_symmetral(M: Mould, w1, w2) -> TruncatedSeries:

@@ -10,13 +10,13 @@ from __future__ import annotations
 from math import ceil
 
 from .errors import ComouldDomainError
-from .moulds import Mould, solve_V, symmetral_inverse
+from .moulds import Mould, solve_V
 from .saddlenode import (BivariateSeries, PhiSeries, SaddleNodeField,
                          YPolynomial, bivariate_from_y_poly, y_add,
                          y_compose)
 from .series import (TruncatedSeries, euler_derivation, ps_mul,
                      solve_euler_shifted, to_z_coeffs)
-from .words import beta, contributing_words, weight, word_key
+from .words import beta, sweep_words, word_key
 
 
 def y_monomial(k: int, x_order: int, series=None) -> YPolynomial:
@@ -64,26 +64,40 @@ def mould_expansion_apply(M: Mould, words, f: YPolynomial) -> YPolynomial:
     return {k: s for k, s in out.items() if not s.is_zero()}
 
 
-def component_sum(field: SaddleNodeField, n: int, x_order: int,
-                  mould: Mould, reverse: bool):
-    """sum of beta(w) * M^w over the words of weight n - 1 that
-    contribute at x-order x_order, reduced in the canonical word order
-    at M's order.
+def component_sums(field: SaddleNodeField, ns: range, x_order: int,
+                   mould: Mould, phi: bool = True,
+                   psi: bool = False) -> dict:
+    """{n: (phi_n, psi_n, word_count)} for each n in the range ns (step
+    1), from one sweep over the words of weights ns - 1 that contribute
+    at x-order x_order (words.sweep_words), at M's order:
 
-    Returns (series, word_count).  Words with beta = 0 are counted but
-    never evaluated.
+        phi_n = sum beta(w) M^w,
+        psi_n = sum (-1)^len(w) beta(reversed w) M^w,
+
+    psi_n being sum beta(u) M^-1(u) over the reversed words u, with
+    M^-1(u) = (-1)^len(u) M^(reversed u) the symmetral inverse.  Each
+    word's value is read once, and only when a sum asked for has a
+    nonzero beta on it; a sum not asked for is None.
     """
-    if n < 0:
+    if ns and ns[0] < 0:
         raise ValueError("component index must be >= 0")
-    words = sorted(
-        contributing_words(n - 1, x_order, field.support, reverse=reverse),
-        key=word_key)
-    acc = TruncatedSeries.zero(mould.x_order)
-    for w in words:
-        b = beta(w)
-        if b != 0:
-            acc = acc + mould.value(w).scale(b)
-    return acc, len(words)
+    zero = TruncatedSeries.zero(mould.x_order)
+    sums = {n: [zero if phi else None, zero if psi else None, 0]
+            for n in ns}
+    for wt, w in sweep_words(range(ns.start - 1, ns.stop - 1), x_order,
+                             field.support):
+        entry = sums[wt + 1]
+        entry[2] += 1
+        b = phi and beta(w)
+        b_rev = psi and beta(w[::-1])
+        if b or b_rev:
+            v = mould.value(w)
+            if b:
+                entry[0] = entry[0] + v.scale(b)
+            if b_rev:
+                entry[1] = entry[1] + v.scale(-b_rev if len(w) % 2
+                                              else b_rev)
+    return {n: tuple(entry) for n, entry in sums.items()}
 
 
 def phi_component(field: SaddleNodeField, n: int, x_order: int,
@@ -92,7 +106,9 @@ def phi_component(field: SaddleNodeField, n: int, x_order: int,
     (series, word_count)."""
     if mould is None:
         mould = solve_V(field, x_order)
-    return component_sum(field, n, x_order, mould, reverse=False)
+    series, _, count = component_sums(field, range(n, n + 1), x_order,
+                                      mould)[n]
+    return series, count
 
 
 def phi_n(field: SaddleNodeField, n: int, x_order: int,
@@ -102,12 +118,14 @@ def phi_n(field: SaddleNodeField, n: int, x_order: int,
 
 def psi_component(field: SaddleNodeField, n: int, x_order: int,
                   mould: Mould = None):
-    """Same assembly as phi_component with the symmetral inverse of the
-    solver mould; returns (series, word_count)."""
+    """psi_n, the same assembly with the symmetral inverse of the
+    solver mould, over the reversed words; returns (series,
+    word_count)."""
     if mould is None:
         mould = solve_V(field, x_order)
-    inv = symmetral_inverse(mould)
-    return component_sum(field, n, x_order, inv, reverse=True)
+    _, series, count = component_sums(field, range(n, n + 1), x_order,
+                                      mould, phi=False, psi=True)[n]
+    return series, count
 
 
 def psi_n(field: SaddleNodeField, n: int, x_order: int,
@@ -118,14 +136,13 @@ def psi_n(field: SaddleNodeField, n: int, x_order: int,
 def assemble_phi(field: SaddleNodeField, n_max: int, x_order: int,
                  mould: Mould = None, inverse: bool = False) -> PhiSeries:
     """PhiSeries with components 0..n_max from the mould expansion
-    (the inverse transformation when inverse=True)."""
+    (the inverse transformation when inverse=True), from one sweep."""
     if mould is None:
         mould = solve_V(field, x_order)
-    comp = {}
-    for n in range(n_max + 1):
-        s = (psi_n if inverse else phi_n)(field, n, x_order, mould)
-        comp[n] = s
-    return PhiSeries(comp, x_order)
+    sums = component_sums(field, range(n_max + 1), x_order, mould,
+                          phi=not inverse, psi=inverse)
+    k = 1 if inverse else 0
+    return PhiSeries({n: s[k] for n, s in sums.items()}, x_order)
 
 
 def components_needed(field: SaddleNodeField, x_order: int,

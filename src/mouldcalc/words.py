@@ -134,7 +134,7 @@ def enumerate_words(n: int, x_order: int, support) -> list:
             return
         for s in support:
             w2 = w + s
-            if _reachable(target - w2, lo, hi, rest - 1):
+            if _reachable(target - w2, target - w2, lo, hi, rest - 1):
                 prefix.append(s)
                 rec(prefix, w2, rest - 1)
                 prefix.pop()
@@ -143,14 +143,10 @@ def enumerate_words(n: int, x_order: int, support) -> list:
     return sorted(result, key=word_key)
 
 
-def _reachable(d: int, lo: int, hi: int, kmax: int) -> bool:
-    """Whether d is a sum of at most kmax integers from [lo, hi]."""
-    if d == 0:
-        return True
-    for k in range(1, kmax + 1):
-        if lo * k <= d <= hi * k:
-            return True
-    return False
+def _reachable(dlo: int, dhi: int, lo: int, hi: int, kmax: int) -> bool:
+    """Whether some d in [dlo, dhi] is a sum of at most kmax integers
+    from [lo, hi]."""
+    return any(lo * k <= dhi and dlo <= hi * k for k in range(kmax + 1))
 
 
 def enumerate_bounded_weight(delta: int) -> list:
@@ -174,38 +170,53 @@ def enumerate_bounded_weight(delta: int) -> list:
     return sorted(out, key=word_key)
 
 
+def sweep_words(weights: range, x_order: int, support):
+    """The words over `support` whose weight lies in the range `weights`
+    (step 1) and whose solver value can be nonzero at the given
+    x-order, i.e. with card R^w <= x_order, as (weight, word) pairs
+    from one traversal of the word tree, in an implementation order.
+    """
+    support = sorted(set(support))
+    if not support or not weights:
+        return
+    lo, hi = support[0], support[-1]
+    tlo, thi = weights[0], weights[-1]
+
+    # build right to left: state = (word, suffix weight s, card R so
+    # far c); consecutive positions outside R are impossible, so at most
+    # 2*(x_order - c) + 1 letters can still be prepended.  admissible[c]
+    # holds the suffix weights from which some target weight stays
+    # reachable with that many letters.
+    top = 2 * x_order + 1
+    admissible = [
+        {s for s in range(min(lo, 0) * top, max(hi, 0) * top + 1)
+         if _reachable(tlo - s, thi - s, lo, hi, 2 * (x_order - c) + 1)}
+        for c in range(x_order + 1)]
+    stack = [((), 0, 0)]
+    while stack:
+        w, s, c = stack.pop()
+        if w and tlo <= s <= thi:
+            yield s, w
+        for n in support:
+            s2 = s + n
+            c2 = c if (s2 == 0 and n != 0) else c + 1
+            if c2 <= x_order and s2 in admissible[c2]:
+                stack.append(((n,) + w, s2, c2))
+
+
 def contributing_words(target_weight: int, x_order: int, support,
                        reverse: bool = False):
     """Words over `support` of the given weight whose solver value can
-    be nonzero at the given x-order, i.e. with card R^w <= x_order.
+    be nonzero at the given x-order: the one-weight case of
+    sweep_words.
 
-    With reverse=True the criterion is applied to the reversed word
-    (the relevant bound for the symmetral-inverse mould, whose value on
-    w is +/- the solver value on the reversal).
+    With reverse=True the words are reversed (the words of the
+    symmetral-inverse mould, whose value on w is +/- the solver value
+    on the reversal).
 
     Yields words in an implementation order; sort by word_key for
     deterministic output.
     """
-    support = sorted(set(support))
-    if not support:
-        return
-    lo, hi = support[0], support[-1]
-
-    # build right to left: state = (suffix weight, card R so far);
-    # consecutive positions outside R are impossible, so at most
-    # 2*(x_order - c) + 1 letters can still be prepended.
-    # `rev` accumulates the word right to left, so the actual word is
-    # its reversal; s is the suffix weight of the actual word.
-    stack = [((), 0, 0)]
-    while stack:
-        rev, s, c = stack.pop()
-        if rev and s == target_weight:
-            yield rev if reverse else rev[::-1]
-        for n in support:
-            s2 = s + n
-            c2 = c + (1 if (s2 != 0 or n == 0) else 0)
-            if c2 > x_order:
-                continue
-            if _reachable(target_weight - s2, lo, hi,
-                          2 * (x_order - c2) + 1):
-                stack.append((rev + (n,), s2, c2))
+    for _, w in sweep_words(range(target_weight, target_weight + 1),
+                            x_order, support):
+        yield w[::-1] if reverse else w

@@ -3,16 +3,40 @@ import importlib
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mouldcalc as mc
 from mouldcalc import cache as cachemod
-from mouldcalc import cli, moulds
+from mouldcalc import cli, moulds, normalisation
 from mouldcalc.cli import main
 from mouldcalc.errors import CacheError
 
 from conftest import bivariate
+
+numerators = st.one_of(st.just(0), st.integers(-10**20, 10**20))
+
+
+def numerator_lists(k):
+    return st.lists(numerators, min_size=k + 1, max_size=k + 1)
+
+
+# real, Gaussian and zero series, negative numerators and denominators
+# included, in canonical form
+series = st.integers(0, 8).flatmap(lambda k: st.builds(
+    mc.TruncatedSeries.from_ints, st.just(k),
+    st.integers(1, 10**12) | st.integers(-10**12, -1), numerator_lists(k),
+    st.none() | numerator_lists(k)))
+# any text, and fixed strings of control and non-ASCII characters
+json_text = st.text() | st.sampled_from(["\x00\x1f\n\t\"\\/", "é\u2028ß",
+                                         "\U0001f600", ""])
+json_values = st.recursive(
+    json_text | st.integers() | st.booleans() | st.none(),
+    lambda kids: st.lists(kids) | st.dictionaries(json_text, kids),
+    max_leaves=25)
 
 # the package attribute mouldcalc.borel is the function of that name
 borelmod = importlib.import_module("mouldcalc.borel")
@@ -405,6 +429,65 @@ class TestBorelCommand:
                        for c in doc["coeffs"])
 
 
+class TestMainInProcess:
+    def test_parser_built_once_leaks_nothing(self, euler_file, tmp_path,
+                                             monkeypatch):
+        """main builds its parser once per process, and a run after one
+        with --eval and --suite writes the tables and report of a fresh
+        run."""
+        built, real = [], cli.build_parser
+
+        def build_parser():
+            built.append(real())
+            return built[-1]
+
+        def borel(out, *extra):
+            assert main(["borel", "--field", euler_file, "--n-max", "1",
+                         "--zeta-order", "4", "--output-dir",
+                         str(tmp_path / out), *extra]) == 0
+            return {p.name: p.read_bytes()
+                    for p in sorted((tmp_path / out).iterdir())}
+
+        def check(out, *extra):
+            assert main(["check", "--field", euler_file, "--x-order", "4",
+                         "--n-max", "1", "--output-dir", str(tmp_path / out),
+                         "--cache", str(tmp_path / f"{out}.cache"),
+                         *extra]) == 0
+            return (tmp_path / out / "check_report.json").read_bytes()
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        cli._parser.cache_clear()
+        try:
+            evaluated = borel("b1", "--eval", "1/2", "--eval", "1/3")
+            symmetral = check("c1", "--suite", "symmetral")
+            after = borel("b2"), check("c2")
+            assert len(built) == 1
+            cli._parser.cache_clear()
+            assert (borel("b3"), check("c3")) == after
+            assert len(built) == 2
+        finally:
+            cli._parser.cache_clear()
+        doc = json.loads(evaluated["phihat_0.json"])
+        assert [e["zeta"] for e in doc["evaluations"]] == ["1/2", "1/3"]
+        assert all(b"evaluations" not in t for t in after[0].values())
+        assert {r["suite"] for r in json.loads(symmetral)["results"]} == \
+            {"symmetral"}
+        assert {r["suite"] for r in json.loads(after[1])["results"]} == \
+            set(cli.SUITES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(json_text, json_values))
+    def test_write_json_matches_json_dump(self, doc):
+        with tempfile.TemporaryDirectory() as directory:
+            got, want = (os.path.join(directory, f) for f in ("got", "want"))
+            cli._write_json(got, doc)
+            with open(want, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+            with open(got, "rb") as g, open(want, "rb") as w:
+                assert g.read() == w.read()
+
+
 class TestCacheCommand:
     def test_inspect_and_clear(self, euler_file, tmp_path, capsys):
         cache = tmp_path / "cache.json"
@@ -506,14 +589,16 @@ class TestCacheModule:
         cachemod.save_mould_cache(path, mould, fhash)
         before = path.read_bytes()
         mould.value((-1, -1))
-        real, calls = mc.TruncatedSeries.quads, []
+        real, calls = cachemod._entry_line, []
 
-        def quads(s):
+        def entry_line(w, s):
             # the first entry converts, the second one cannot be written
-            calls.append(s)
-            return real(s) if len(calls) <= 1 else [object()]
+            calls.append(w)
+            if len(calls) > 1:
+                raise TypeError("entry cannot be formatted")
+            return real(w, s)
 
-        monkeypatch.setattr(mc.TruncatedSeries, "quads", quads)
+        monkeypatch.setattr(cachemod, "_entry_line", entry_line)
         with pytest.raises(TypeError):
             cachemod.save_mould_cache(path, mould, fhash)
         monkeypatch.undo()
@@ -521,6 +606,13 @@ class TestCacheModule:
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
         assert cachemod.load_mould_cache(path, fhash, 6) == \
             {(-1,): mould.value((-1,))}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-1, 5), max_size=6).map(tuple), series)
+    def test_entry_line_matches_json_dumps(self, word, s):
+        assert cachemod._entry_line(word, s) == json.dumps(
+            {"word": list(word), "coeffs": s.quads()}, sort_keys=True,
+            separators=(",", ":")) + "\n"
 
     def test_env_var_controls_default_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(cachemod.CACHE_DIR_ENV, str(tmp_path / "cc"))
@@ -603,6 +695,40 @@ class TestCacheReuse:
         before = cache.read_bytes(), cache.stat().st_mtime_ns
         assert self.normalize(field_file, tmp_path, "warm") == 0
         assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+
+    def test_one_sweep_one_value_per_word(self, field_file, tmp_path,
+                                          monkeypatch):
+        """A normalize job traverses the word tree once, reads each
+        contributing word's solver value once, and builds no
+        symmetral_inverse mould."""
+        sweeps, reads = [], []
+        real_sweep, real_value = normalisation.sweep_words, mc.Mould.value
+
+        def sweep_words(*args):
+            sweeps.append(args)
+            return real_sweep(*args)
+
+        def value(mould, word):
+            reads.append(tuple(word))
+            return real_value(mould, word)
+
+        def refuse(*args):
+            raise RuntimeError("a symmetral_inverse mould was built")
+
+        monkeypatch.setattr(normalisation, "sweep_words", sweep_words)
+        monkeypatch.setattr(mc.Mould, "value", value)
+        for module in (moulds, normalisation, cli):
+            monkeypatch.setattr(module, "symmetral_inverse", refuse,
+                                raising=False)
+        assert self.normalize(field_file, tmp_path) == 0
+        assert len(sweeps) == 1
+        support = mc.extract_letters(mc.load_field_file(field_file)).support
+        contributing = {w for n in range(4)
+                        for w in mc.contributing_words(n - 1, 6, support)}
+        assert sorted(reads) == sorted(
+            w for w in contributing if mc.beta(w) or mc.beta(w[::-1]))
+        assert any(mc.beta(w) == 0 for w in set(reads))
+        assert any(mc.beta(w[::-1]) == 0 for w in set(reads))
 
     def test_check_leaves_loaded_cache_untouched(self, field_file,
                                                  tmp_path):

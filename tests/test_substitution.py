@@ -73,7 +73,7 @@ class TestAgainstReference:
 
 def test_checks_independent_of_mould_route(monkeypatch, quadratic_field):
     """oracle_phi, compose_check, pde_residual and formal_integral_residual
-    give their results with the solver, Mould.value and component_sum
+    give their results with the solver, Mould.value and component_sums
     unavailable."""
     x_order, y_order = 5, 3
     n_max = mc.components_needed(quadratic_field, x_order, y_order)
@@ -88,7 +88,7 @@ def test_checks_independent_of_mould_route(monkeypatch, quadratic_field):
     monkeypatch.setattr(moulds, "solve_V", refuse)
     monkeypatch.setattr(normalisation, "solve_V", refuse)
     monkeypatch.setattr(moulds.Mould, "value", refuse)
-    monkeypatch.setattr(normalisation, "component_sum", refuse)
+    monkeypatch.setattr(normalisation, "component_sums", refuse)
 
     oracle = mc.oracle_phi(quadratic_field, n_max, x_order)
     assert all(oracle.component(n) == phi.component(n)

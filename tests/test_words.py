@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import mouldcalc as mc
 from mouldcalc.words import (beta, contributing_words, enumerate_bounded_weight,
                              enumerate_words, shuffle_coeff, shuffles,
-                             valuation_lower_bound, weight, word_key)
+                             sweep_words, valuation_lower_bound, weight,
+                             word_key)
 
 letters = st.integers(min_value=-1, max_value=3)
 short_words = st.lists(letters, min_size=0, max_size=3).map(tuple)
@@ -188,6 +189,24 @@ class TestContributingWords:
         fwd = set(contributing_words(0, 2, support))
         rev = set(contributing_words(0, 2, support, reverse=True))
         assert rev == {w[::-1] for w in fwd}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(letters, min_size=1), st.integers(0, 6),
+           st.integers(0, 5))
+    def test_one_sweep_buckets_every_weight(self, support, x_order, n_max):
+        """The one traversal over the weights -1..n_max-1 yields, bucketed
+        by weight, each component's contributing words once, and their
+        reversals are the reverse=True sets."""
+        buckets = {n: [] for n in range(n_max + 1)}
+        for wt, w in sweep_words(range(-1, n_max), x_order, support):
+            assert wt == weight(w)
+            buckets[wt + 1].append(w)
+        for n, words in buckets.items():
+            assert len(set(words)) == len(words)
+            assert set(words) == set(
+                contributing_words(n - 1, x_order, support))
+            assert {w[::-1] for w in words} == set(
+                contributing_words(n - 1, x_order, support, reverse=True))
 
     def test_suffix_count_bounds_solver_valuation(self, quadratic_field):
         mould = mc.solve_V(quadratic_field, 6)
